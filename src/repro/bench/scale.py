@@ -31,7 +31,8 @@ three throughput families per size:
 The ``ok`` verdict requires: zero delta fallbacks anywhere, the
 hierarchical search at least matching flat rounds/sec at every size at
 or above :data:`HIER_MUST_WIN_GPUS`, decision identity *or* the quality
-gate at every size, and every kernel-events figure above the floor.
+gate at every size, and every kernel-events figure above the floor with
+its dispatch trace in key order.
 ``python -m repro scale --smoke`` runs the 64- and 1024-device columns
 in CI; the committed ``BENCH_scale.json`` records the full sweep.
 """
@@ -362,7 +363,7 @@ def scale_suite(smoke: bool = False, seed: int = 0) -> dict[str, object]:
     events_ok = all(
         float(e["kernel_events"]["events_per_sec"])
         >= KERNEL_EVENTS_PER_SEC_FLOOR
-        and bool(e["kernel_events"]["trace_identity"])
+        and bool(e["kernel_events"]["trace_ordered"])
         for e in entries
     )
     engines_ok = all(

@@ -43,6 +43,12 @@ Nine subcommands expose the simulation engine without writing any code:
 ``--trace-out PATH`` (write the same Chrome trace artifact for that run)
 and ``--telemetry`` (print the metrics-registry snapshot afterwards).
 
+The report-writing commands default ``--output`` to their canonical
+``BENCH_*.json`` and refuse to overwrite an existing one from anything
+but the canonical command (``--smoke`` included): such a run still
+executes and gates, but its report is discarded unless ``--output``
+names a path.
+
 Every benchmark in ``benchmarks/`` and example in ``examples/`` builds on
 the same harness functions these commands call, so the CLI is the quickest
 way to reach any scenario; see ``docs/paper_mapping.md`` for which figure
@@ -54,8 +60,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Iterator, Sequence
 
 from repro.bench.harness import (
@@ -69,6 +77,17 @@ from repro.bench.harness import (
 from repro.config import FaultConfig
 from repro.exceptions import ReproError
 from repro.model.zoo import MODEL_ZOO
+
+#: The canonical report each report-writing command defaults to, keyed
+#: by the argv of the command that produces it.
+CANONICAL_REPORTS: dict[tuple[str, ...], str] = {
+    ("perf",): "BENCH_step_overhead.json",
+    ("scale",): "BENCH_scale.json",
+    ("serve",): "BENCH_serving_latency.json",
+    ("serve", "--multi-tenant"): "BENCH_multitenant.json",
+    ("scenario",): "BENCH_composed_scenario.json",
+    ("churn",): "BENCH_autoscale_churn.json",
+}
 
 
 def _add_telemetry_flags(p: argparse.ArgumentParser) -> None:
@@ -292,7 +311,7 @@ def _add_perf_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--output",
-        default="BENCH_step_overhead.json",
+        default=None,
         metavar="PATH",
         help="where to write the JSON report (default: "
         "BENCH_step_overhead.json in the current directory)",
@@ -323,7 +342,7 @@ def _add_scale_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--output",
-        default="BENCH_scale.json",
+        default=None,
         metavar="PATH",
         help="where to write the JSON report (default: BENCH_scale.json "
         "in the current directory)",
@@ -461,7 +480,7 @@ def _add_scenario_parser(sub: argparse._SubParsersAction) -> None:
     )
     p.add_argument(
         "--output",
-        default="BENCH_composed_scenario.json",
+        default=None,
         metavar="PATH",
         help="where to write the JSON report (default: "
         "BENCH_composed_scenario.json in the current directory)",
@@ -492,7 +511,7 @@ def _add_churn_parser(sub: argparse._SubParsersAction) -> None:
     )
     p.add_argument(
         "--output",
-        default="BENCH_autoscale_churn.json",
+        default=None,
         metavar="PATH",
         help="where to write the JSON report (default: "
         "BENCH_autoscale_churn.json in the current directory)",
@@ -806,8 +825,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.bench.perf import perf_suite, write_report
 
     output = Path(args.output)
@@ -863,38 +880,23 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             f"({section['speedup']:.1f}x), simulation "
             f"{'identical' if section['simulated_results_match'] else 'DIVERGED'}"
         )
-    kernel = report["kernel"]
-    print(
-        f"kernel    event-kernel {kernel['kernel_steps_per_sec']:8.1f} steps/s "
-        f"vs legacy loop {kernel['legacy_steps_per_sec']:8.1f} steps/s "
-        f"({kernel['overhead_pct']:+.2f}% overhead, tolerance "
-        f"{kernel['tolerance_pct']:.0f}%), simulation "
-        f"{'identical' if kernel['simulated_results_match'] else 'DIVERGED'}"
-    )
     serving_events = report["serving_events"]
     print(
         f"serving   events {serving_events['events_per_sec']:8.0f} events/s "
-        f"vs reference {serving_events['reference_events_per_sec']:8.0f} "
-        f"events/s ({serving_events['speedup']:.1f}x, floor "
-        f"{serving_events['events_per_sec_floor']:.0f}), results "
-        f"{'identical' if serving_events['simulated_results_match'] else 'DIVERGED'}"
+        f"(floor {serving_events['events_per_sec_floor']:.0f})"
     )
     kernel_events = report["kernel_events"]
     print(
-        f"drain     events {kernel_events['events_per_sec']:8.0f} events/s "
-        f"vs serial {kernel_events['serial_events_per_sec']:8.0f} events/s "
-        f"({kernel_events['speedup']:.1f}x, floor "
-        f"{kernel_events['events_per_sec_floor']:.0f}), trace "
-        f"{'identical' if kernel_events['trace_identity'] else 'DIVERGED'}"
+        f"kernel    events {kernel_events['events_per_sec']:8.0f} events/s "
+        f"(floor {kernel_events['events_per_sec_floor']:.0f}), trace "
+        f"{'ordered' if kernel_events['trace_ordered'] else 'OUT OF ORDER'}"
     )
     overhead = report["telemetry_overhead"]
     print(
         f"telemetry disabled {overhead['disabled_steps_per_sec']:8.1f} steps/s "
-        f"vs baseline {overhead['baseline_steps_per_sec']:8.1f} steps/s "
-        f"({overhead['disabled_overhead_pct']:+.2f}% overhead, tolerance "
-        f"{overhead['tolerance_pct']:.0f}%); enabled "
-        f"{overhead['enabled_overhead_pct']:+.2f}% "
-        f"({int(overhead['enabled_trace_events'])} trace events), simulation "
+        f"vs enabled {overhead['enabled_steps_per_sec']:8.1f} steps/s "
+        f"({overhead['enabled_overhead_pct']:+.2f}% median paired overhead, "
+        f"{int(overhead['enabled_trace_events'])} trace events), simulation "
         f"{'identical' if overhead['simulated_results_match'] else 'DIVERGED'}"
     )
     # Memo accounting straight from the telemetry snapshot -- the report
@@ -926,8 +928,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.bench.scale import scale_suite, write_report
 
     output = Path(args.output)
@@ -992,16 +992,8 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_multitenant(args: argparse.Namespace) -> int:
-    from pathlib import Path
+    from repro.bench.serving import multitenant_run, write_report
 
-    from repro.bench.serving import (
-        MULTITENANT_REPORT_FILENAME,
-        multitenant_run,
-        write_report,
-    )
-
-    if args.output is None:
-        args.output = MULTITENANT_REPORT_FILENAME
     num_requests = 200 if args.smoke else args.requests
     seed = 0 if args.smoke else args.seed
     # Smoke pins the CI scenario: 2 layers x 16 experts on 8 GPUs, one
@@ -1072,14 +1064,10 @@ def _cmd_serve_multitenant(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.bench.serving import serving_run, write_report
 
     if args.multi_tenant:
         return _cmd_serve_multitenant(args)
-    if args.output is None:
-        args.output = "BENCH_serving_latency.json"
     if args.smoke:
         # Fixed scenario CI gates on: skewed bursty stream near
         # saturation, no faults. Must show dynamic placement strictly
@@ -1188,8 +1176,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.bench.serving import write_report
     from repro.sim.composed import ComposedScenarioConfig, composed_scenario_run
 
@@ -1262,8 +1248,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_churn(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.bench.churn import churn_bench_run, write_churn_report
 
     with _telemetry_scope(args) as tel:
@@ -1317,8 +1301,6 @@ def _cmd_churn(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro import telemetry
     from repro.sim.composed import ComposedScenarioConfig, composed_scenario_run
 
@@ -1384,8 +1366,47 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _resolve_report_output(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> str | None:
+    """Default ``--output`` to the command's canonical ``BENCH_*.json``.
+
+    When that file exists and the arguments differ from the canonical
+    command's, a smoke or custom run must not replace the committed
+    artifact: the report goes to the null device instead and the
+    returned note says so (the run and its exit status are unchanged).
+    """
+    if getattr(args, "output", "") is not None:
+        return None
+    argv = (args.command,)
+    if getattr(args, "multi_tenant", False):
+        argv += ("--multi-tenant",)
+    name = CANONICAL_REPORTS.get(argv)
+    if name is None:
+        return None
+    args.output = name
+    canonical = vars(parser.parse_args(argv))
+    changed = sorted(
+        "--" + key.replace("_", "-")
+        for key, value in vars(args).items()
+        if key not in ("output", "json") and canonical.get(key) != value
+    )
+    if changed and Path(name).exists():
+        args.output = os.devnull
+        return (
+            f"refusing to overwrite the canonical {name} from "
+            f"non-default arguments ({', '.join(changed)}); this report "
+            "is discarded -- pass --output PATH to keep it"
+        )
+    return None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    refusal = _resolve_report_output(parser, args)
+    if refusal is not None:
+        print(f"note: {refusal}", file=sys.stderr)
     handlers = {
         "run": _cmd_run,
         "bench": _cmd_bench,

@@ -14,10 +14,7 @@ dense-compute / adjustment phases overlap per the paper's pipeline.
 Both simulators are hosted on the unified discrete-event kernel
 (:mod:`repro.sim`): steps are event sources on the shared clock, so the
 same runs compose with elasticity schedules, serving traffic and stream
-budgets declared in one :class:`~repro.sim.scenario.Scenario`. Passing
-``kernel=False`` runs the retired inline loop instead; the two are
-decision- and metric-identical on seeded runs (asserted by
-``tests/test_sim_identity.py``).
+budgets declared in one :class:`~repro.sim.scenario.Scenario`.
 """
 
 from __future__ import annotations
@@ -128,7 +125,6 @@ def simulate_training(
     trace: RoutingTrace,
     moe_layers: int = 1,
     warmup: int = 0,
-    kernel: bool = True,
 ) -> TrainingRunResult:
     """Run ``system`` over every step of ``trace``.
 
@@ -139,9 +135,6 @@ def simulate_training(
         warmup: Initial steps executed but excluded from the aggregated
             results (cold-start transient; negligible in real multi-day
             runs but visible in short traces).
-        kernel: Host the steps on the shared discrete-event kernel (the
-            default); ``False`` runs the retired inline loop. Identical
-            results either way.
     """
     if moe_layers < 1:
         raise SimulationError("moe_layers must be >= 1")
@@ -149,19 +142,15 @@ def simulate_training(
         raise SimulationError(
             f"warmup must be in [0, {trace.num_steps}), got {warmup}"
         )
-    if kernel:
-        source = SystemStepSource(system, trace)
-        Scenario(
-            name=f"train-{system.name}",
-            sources=(source,),
-            duration=trace.num_steps,
-        ).run()
-        results = source.results
-    else:
-        results = [system.step(trace.step(t), t) for t in range(trace.num_steps)]
+    source = SystemStepSource(system, trace)
+    Scenario(
+        name=f"train-{system.name}",
+        sources=(source,),
+        duration=trace.num_steps,
+    ).run()
     return TrainingRunResult(
         system=system.name,
-        results=tuple(results[warmup:]),
+        results=tuple(source.results[warmup:]),
         moe_layers=moe_layers,
     )
 
@@ -223,7 +212,6 @@ def simulate_pipeline(
     engine: MultiLayerFlexMoEEngine,
     trace: MultiLayerTrace,
     warmup: int = 0,
-    kernel: bool = True,
 ) -> PipelineRunResult:
     """Run the multi-layer engine over every step of ``trace``.
 
@@ -232,11 +220,10 @@ def simulate_pipeline(
         trace: Per-layer per-step token assignments; its layer count must
             match the engine's.
         warmup: Initial steps executed but excluded from the aggregates.
-        kernel: Host the run on the shared discrete-event kernel (the
-            default): steps become TRIGGER/STEP/STREAM events and any
-            elasticity schedule becomes a FAILURE event source, instead
-            of being polled per step. ``False`` runs the retired inline
-            loop. Identical results either way.
+
+    The run is hosted on the shared discrete-event kernel: steps become
+    TRIGGER/STEP/STREAM events and any elasticity schedule becomes a
+    FAILURE event source.
     """
     if trace.num_layers != engine.num_moe_layers:
         raise SimulationError(
@@ -247,22 +234,18 @@ def simulate_pipeline(
         raise SimulationError(
             f"warmup must be in [0, {trace.num_steps}), got {warmup}"
         )
-    if kernel:
-        step_source = PipelineStepSource(engine, trace)
-        sources: tuple = (step_source,)
-        if getattr(engine, "elasticity", None) is not None:
-            sources = (ElasticitySource(engine), step_source)
-        Scenario(
-            name=f"pipeline-{engine.name}",
-            sources=sources,
-            duration=trace.num_steps,
-        ).run()
-        results = step_source.results
-    else:
-        results = [engine.step(trace.step(t), t) for t in range(trace.num_steps)]
+    step_source = PipelineStepSource(engine, trace)
+    sources: tuple = (step_source,)
+    if getattr(engine, "elasticity", None) is not None:
+        sources = (ElasticitySource(engine), step_source)
+    Scenario(
+        name=f"pipeline-{engine.name}",
+        sources=sources,
+        duration=trace.num_steps,
+    ).run()
     return PipelineRunResult(
         engine=engine.name,
-        results=tuple(results[warmup:]),
+        results=tuple(step_source.results[warmup:]),
         num_moe_layers=engine.num_moe_layers,
         final_placement_signatures=engine.placement_signatures(),
         event_log=getattr(engine, "event_log", ()),

@@ -173,3 +173,26 @@ def test_churn_unwritable_output_fails_fast(capsys, tmp_path):
     assert main(["churn", "--smoke", "--output", str(target)]) == 2
     err = capsys.readouterr().err
     assert "error: cannot write report" in err
+
+
+def test_smoke_run_leaves_canonical_report_untouched(
+    capsys, tmp_path, monkeypatch
+):
+    """A ``--smoke`` run without ``--output`` must not replace a
+    committed canonical report with its CI-scale numbers."""
+    monkeypatch.chdir(tmp_path)
+    canonical = tmp_path / "BENCH_serving_latency.json"
+    canonical.write_bytes(b'{"ok": true, "suite": "serving_latency"}\n')
+    before = canonical.read_bytes()
+    assert main(["serve", "--smoke"]) == 0
+    captured = capsys.readouterr()
+    assert "refusing to overwrite" in captured.err
+    assert "serve smoke: OK" in captured.out
+    assert canonical.read_bytes() == before
+    # The canonical command itself still refreshes it ...
+    assert main(["serve", "--requests", "400"]) == 0
+    assert canonical.read_bytes() != before
+    # ... and --output routes any other run elsewhere.
+    out = tmp_path / "smoke.json"
+    assert main(["serve", "--smoke", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["ok"] is True

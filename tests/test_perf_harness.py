@@ -76,20 +76,19 @@ def test_planner_benchmark_memo_hit_rate_positive():
 
 
 def test_serving_events_benchmark_identities_and_floor():
+    """The serving stack clears the CI floor even at this tiny scale,
+    and its logical-event accounting identity holds (one event per
+    arrival, dispatch and completion). Report identity with the retired
+    per-request stack is pinned by the golden fixtures in
+    ``test_sim_identity.py``."""
     from repro.bench.perf import (
         SERVING_EVENTS_PER_SEC_FLOOR,
         serving_events_benchmark,
     )
 
     result = serving_events_benchmark(
-        num_gpus=8, num_experts=16, num_requests=400,
-        identity_requests=48, repeats=1,
+        num_gpus=8, num_experts=16, num_requests=400, repeats=1,
     )
-    # The fast stack must reproduce the reference stack byte-for-byte
-    # (stub records AND the real engine's full report)...
-    assert result["stub_identity"]
-    assert result["simulated_results_match"]
-    # ...and clear the CI throughput floor even at this tiny scale.
     assert result["events_per_sec"] >= SERVING_EVENTS_PER_SEC_FLOOR
     assert result["num_batches"] > 0
     assert result["logical_events"] == (
@@ -98,13 +97,28 @@ def test_serving_events_benchmark_identities_and_floor():
 
 
 def test_kernel_events_benchmark_trace_identity_and_floor():
+    """The traced pass dispatches every scheduled event exactly once in
+    ``(time, priority, seq)`` order, and the untraced passes clear the
+    floor. Trace identity with the one-at-a-time drain is the property
+    test in ``test_sim_kernel.py``."""
     from repro.bench.perf import (
         KERNEL_EVENTS_PER_SEC_FLOOR,
         kernel_events_benchmark,
     )
 
     result = kernel_events_benchmark(num_ticks=300, repeats=1)
-    assert result["trace_identity"]
-    assert result["simulated_results_match"]
+    assert result["trace_ordered"]
     assert result["events_per_sec"] >= KERNEL_EVENTS_PER_SEC_FLOOR
     assert result["total_events"] > result["num_ticks"]
+
+
+def test_telemetry_overhead_benchmark_identity_and_recording():
+    from repro.bench.perf import telemetry_overhead_benchmark
+
+    result = telemetry_overhead_benchmark(
+        num_moe_layers=2, num_gpus=4, num_experts=8, num_steps=4,
+        tokens_per_gpu=4096, repeats=2,
+    )
+    assert result["simulated_results_match"]
+    assert result["enabled_trace_events"] > 0
+    assert result["enabled_timeline_events"] > 0

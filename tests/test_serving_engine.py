@@ -322,9 +322,7 @@ class TestAdmissionQueueMeta:
     def test_collect_meta_columns_mirror_popped_batch(self):
         from repro.serving.admission import AdmissionQueue
 
-        queue = AdmissionQueue(
-            BatchingConfig(max_batch_tokens=300), collect_meta=True
-        )
+        queue = AdmissionQueue(BatchingConfig(max_batch_tokens=300))
         requests = self._requests(
             [(0.0, 100, 1), (0.5, 150, 2), (1.0, 200, 0), (1.5, 50, 3)]
         )
@@ -347,7 +345,6 @@ class TestAdmissionQueueMeta:
 
         queue = AdmissionQueue(
             BatchingConfig(max_batch_tokens=100, max_queue_tokens=150),
-            collect_meta=True,
         )
         admitted = self._requests([(0.0, 100, 0)])[0]
         rejected = Request(index=1, arrival=0.1, tokens=100, topic=1)
@@ -357,10 +354,12 @@ class TestAdmissionQueueMeta:
         np.testing.assert_array_equal(queue.last_batch_tokens, [100])
         np.testing.assert_array_equal(queue.last_batch_topics, [0])
 
-    def test_meta_disabled_by_default(self):
+    def test_meta_empty_until_first_batch(self):
         from repro.serving.admission import AdmissionQueue
 
         queue = AdmissionQueue(BatchingConfig(max_batch_tokens=100))
+        assert queue.next_batch() == ()
+        assert queue.last_batch_tokens is None
         queue.offer(self._requests([(0.0, 50, 0)])[0])
         queue.next_batch()
-        assert queue.last_batch_tokens is None
+        np.testing.assert_array_equal(queue.last_batch_tokens, [50])

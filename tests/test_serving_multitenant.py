@@ -139,14 +139,13 @@ class TestTenantConfig:
 # PriorityAdmissionQueue: deterministic unit coverage
 # ---------------------------------------------------------------------------
 def make_queue(tenants, max_batch_tokens=100, max_queue_tokens=None,
-               policy="priority", collect_meta=False):
+               policy="priority"):
     return PriorityAdmissionQueue(
         BatchingConfig(
             max_batch_tokens=max_batch_tokens,
             max_queue_tokens=max_queue_tokens,
         ),
         tenants,
-        collect_meta=collect_meta,
         policy=policy,
     )
 
@@ -235,7 +234,6 @@ class TestPriorityQueueBasics:
     def test_collect_meta_exposes_tenant_column(self):
         queue = make_queue(
             [spec(name="a"), spec(name="b", tenant_class=INTERACTIVE)],
-            collect_meta=True,
         )
         queue.offer(request(0, 10, tenant=0, arrival=0.5, topic=2))
         queue.offer(request(1, 20, tenant=1, arrival=0.7, topic=1))
@@ -672,13 +670,16 @@ class TestEagerAdmissionDefault:
         with pytest.raises(ConfigurationError):
             engine.event_source(lazy_admission=True)
 
-    def test_multitenant_rejects_legacy_clock_loop(self):
-        engine = _tiny_engine()
-        with pytest.raises(ConfigurationError):
-            engine.run(kernel=False)
+    def test_multitenant_run_matches_golden_fixture(self):
+        """``run`` picks eager admission for a multi-tenant server; its
+        report reproduces the golden output the per-request path
+        recorded."""
+        from serving_golden import assert_matches_golden
+
+        assert_matches_golden("multitenant-tiny", _tiny_engine().run())
 
 
-def _tiny_engine(policy="priority", preemption=True, dynamic=True):
+def _tiny_engine(policy="priority", preemption=True, dynamic=True, **extra):
     from repro.bench.harness import cluster_for
     from repro.config import MoEModelConfig
     from repro.serving.baseline import build_multitenant_serving
@@ -700,6 +701,7 @@ def _tiny_engine(policy="priority", preemption=True, dynamic=True):
         dynamic=dynamic,
         admission_policy=policy,
         preemption=preemption,
+        **extra,
     )
 
 

@@ -1,20 +1,29 @@
 """Kernel-vs-legacy identity: the re-hosted loops change nothing.
 
-The ISSUE-5 contract: hosting the training, faults and serving loops on
-the unified discrete-event kernel must preserve decision and metric
-identity with the retired inline loops on seeded runs -- same placements
-chosen, same per-step times, same per-request latencies.
+Hosting the training, faults and serving loops on the unified
+discrete-event kernel must preserve decision and metric identity with
+the retired inline loops on seeded runs -- same placements chosen, same
+per-step times, same per-request latencies. The training-side reference
+is the inline step loop itself, written out below; the serving-side
+references (clock loop, per-request bookkeeping) are gone from ``src/``
+and survive as the golden outputs both paths agreed on
+(``serving_golden.py``).
 """
 
 import numpy as np
+from serving_golden import (
+    assert_matches_golden,
+    build_servers,
+    build_single_stream_twin,
+    multitenant_kwargs,
+)
+from test_sim_kernel import run_scenario_serially
 
 from repro.baselines.base import build_context
 from repro.baselines.flexmoe import FlexMoESystem
 from repro.bench.harness import cluster_for
-from repro.bench.serving import probe_batch_seconds
 from repro.cluster.events import ElasticitySchedule
 from repro.config import (
-    ClusterConfig,
     FaultConfig,
     MoEModelConfig,
     SchedulerConfig,
@@ -22,16 +31,14 @@ from repro.config import (
     auto_slots_per_gpu,
 )
 from repro.runtime.pipeline import build_engine
-from repro.serving.admission import BatchingConfig
-from repro.serving.baseline import (
-    build_flexmoe_serving,
-    build_multitenant_serving,
-    build_static_serving,
+from repro.serving.baseline import build_multitenant_serving
+from repro.sim import Scenario
+from repro.training.loop import (
+    PipelineRunResult,
+    TrainingRunResult,
+    simulate_pipeline,
+    simulate_training,
 )
-from repro.serving.engine import TopicRoutingModel
-from repro.serving.requests import RequestStream, RequestStreamConfig, TenantSpec
-from repro.serving.slo import SLOConfig, TenantClass
-from repro.training.loop import simulate_pipeline, simulate_training
 from repro.workload.synthetic import (
     DriftingRoutingGenerator,
     make_multilayer_trace,
@@ -57,6 +64,22 @@ def _trace(num_steps=8, num_gpus=8, seed=0):
     )
 
 
+def _inline_steps(engine, trace):
+    """The retired inline loop: one ``step`` call per trace step."""
+    return tuple(engine.step(trace.step(t), t) for t in range(trace.num_steps))
+
+
+def _inline_pipeline(engine, trace):
+    """:func:`simulate_pipeline` as the inline loop computed it."""
+    return PipelineRunResult(
+        engine=engine.name,
+        results=_inline_steps(engine, trace),
+        num_moe_layers=engine.num_moe_layers,
+        final_placement_signatures=engine.placement_signatures(),
+        event_log=getattr(engine, "event_log", ()),
+    )
+
+
 def _assert_pipeline_runs_identical(a, b):
     np.testing.assert_array_equal(a.step_times, b.step_times)
     assert a.final_placement_signatures == b.final_placement_signatures
@@ -70,31 +93,30 @@ def _assert_pipeline_runs_identical(a, b):
 class TestRunPathIdentity:
     def test_pipeline_kernel_matches_legacy_loop(self):
         trace = _trace()
-        runs = {}
-        for kernel in (True, False):
-            engine = build_engine(cluster_for(8), MODEL, num_moe_layers=2, seed=0)
-            runs[kernel] = simulate_pipeline(engine, trace, kernel=kernel)
-        _assert_pipeline_runs_identical(runs[True], runs[False])
+
+        def engine():
+            return build_engine(cluster_for(8), MODEL, num_moe_layers=2, seed=0)
+
+        _assert_pipeline_runs_identical(
+            simulate_pipeline(engine(), trace), _inline_pipeline(engine(), trace)
+        )
 
     def test_single_layer_training_kernel_matches_legacy_loop(self):
         workload = WorkloadConfig(tokens_per_step=65_536, num_steps=6, seed=1)
         trace = DriftingRoutingGenerator(
             MODEL.num_experts, 8, workload
         ).generate()
-        runs = {}
-        for kernel in (True, False):
-            context = build_context(cluster_for(8), MODEL, seed=1)
-            runs[kernel] = simulate_training(
-                FlexMoESystem(context), trace, kernel=kernel
-            )
-        np.testing.assert_array_equal(
-            runs[True].step_times, runs[False].step_times
+
+        def system():
+            return FlexMoESystem(build_context(cluster_for(8), MODEL, seed=1))
+
+        run = simulate_training(system(), trace)
+        inline = TrainingRunResult(
+            system=run.system, results=_inline_steps(system(), trace)
         )
-        assert (
-            runs[True].mean_token_efficiency
-            == runs[False].mean_token_efficiency
-        )
-        assert runs[True].diverted_fraction == runs[False].diverted_fraction
+        np.testing.assert_array_equal(run.step_times, inline.step_times)
+        assert run.mean_token_efficiency == inline.mean_token_efficiency
+        assert run.diverted_fraction == inline.diverted_fraction
 
 
 class TestFaultsPathIdentity:
@@ -115,9 +137,9 @@ class TestFaultsPathIdentity:
         )
         trace = _trace(num_steps=8)
         slots = auto_slots_per_gpu(MODEL.num_experts, 8) + 2
-        runs = {}
-        for kernel in (True, False):
-            engine = build_engine(
+
+        def engine():
+            return build_engine(
                 cluster_for(8),
                 MODEL,
                 num_moe_layers=2,
@@ -128,288 +150,114 @@ class TestFaultsPathIdentity:
                 elasticity=schedule,
                 seed=0,
             )
-            runs[kernel] = simulate_pipeline(engine, trace, kernel=kernel)
-        _assert_pipeline_runs_identical(runs[True], runs[False])
+
+        run = simulate_pipeline(engine(), trace)
+        _assert_pipeline_runs_identical(run, _inline_pipeline(engine(), trace))
         # The elasticity genuinely fired (this is not a vacuous identity).
-        assert len(runs[True].event_log) == len(schedule)
-
-
-def _build_servers(seed=0, with_faults=False, vectorized=True):
-    num_layers, num_gpus, num_experts = 2, 8, 16
-    base = probe_batch_seconds(num_layers, num_gpus, num_experts, 4096, seed=seed)
-    slo = SLOConfig(
-        latency_target=8 * base,
-        trigger_p99=3 * base,
-        queue_limit_tokens=8192.0,
-    )
-    batching = BatchingConfig(max_batch_tokens=4096, max_queue_tokens=65_536)
-    rate = 0.9 * (4096 / base) / 512
-    requests = RequestStream(
-        RequestStreamConfig(
-            arrival="bursty",
-            rate_rps=rate,
-            num_requests=100,
-            mean_tokens=512,
-            max_tokens=4096,
-            num_topics=4,
-            seed=seed,
-        )
-    ).generate()
-    model = MoEModelConfig(
-        name="sim-identity-serving",
-        num_layers=2 * num_layers,
-        d_model=1024,
-        d_ffn=8192,
-        num_experts=num_experts,
-    )
-    routing = TopicRoutingModel(num_layers, num_experts, 4, skew=2.0, seed=seed)
-    elasticity = (
-        ElasticitySchedule.from_fault_config(
-            FaultConfig(
-                num_failures=1, failure_step=4, recovery_steps=6, seed=seed
-            ),
-            num_gpus,
-        )
-        if with_faults
-        else None
-    )
-    kwargs = dict(
-        num_moe_layers=num_layers,
-        routing=routing,
-        elasticity=elasticity,
-        skew=2.0,
-        seed=seed,
-        vectorized=vectorized,
-    )
-    cluster = cluster_for(num_gpus)
-    return (
-        lambda: build_flexmoe_serving(
-            cluster, model, requests, batching, slo, **kwargs
-        ),
-        lambda: build_static_serving(
-            cluster, model, requests, batching, slo, **kwargs
-        ),
-    )
+        assert len(run.event_log) == len(schedule)
 
 
 class TestServePathIdentity:
-    def _assert_reports_identical(self, a, b):
-        assert a.records == b.records
-        assert a.rejected == b.rejected
-        assert a.num_batches == b.num_batches
-        assert a.sim_duration == b.sim_duration
-        assert a.placement_actions == b.placement_actions
-
     def test_dynamic_server_kernel_matches_legacy_loop(self):
-        build_flex, _ = _build_servers(seed=0)
-        kernel_report = build_flex().run(kernel=True)
-        legacy_report = build_flex().run(kernel=False)
-        self._assert_reports_identical(kernel_report, legacy_report)
-        assert kernel_report.num_batches > 0
+        build_flex, _ = build_servers(seed=0)
+        assert_matches_golden("dynamic-seed0", build_flex().run())
 
     def test_static_server_kernel_matches_legacy_loop(self):
-        _, build_static = _build_servers(seed=1)
-        self._assert_reports_identical(
-            build_static().run(kernel=True), build_static().run(kernel=False)
-        )
+        _, build_static = build_servers(seed=1)
+        assert_matches_golden("static-seed1", build_static().run())
 
     def test_serving_with_faults_kernel_matches_legacy_loop(self):
-        build_flex, _ = _build_servers(seed=0, with_faults=True)
-        kernel_report = build_flex().run(kernel=True)
-        legacy_report = build_flex().run(kernel=False)
-        self._assert_reports_identical(kernel_report, legacy_report)
+        build_flex, _ = build_servers(seed=0, with_faults=True)
+        assert_matches_golden("dynamic-faults-seed0", build_flex().run())
+
+
+def _assert_reports_identical(a, b):
+    assert a.records == b.records
+    assert a.rejected == b.rejected
+    assert a.num_batches == b.num_batches
+    assert a.sim_duration == b.sim_duration
+    assert a.placement_actions == b.placement_actions
+    assert a.summary() == b.summary()
 
 
 class TestHotPathIdentity:
-    """ISSUE-6 contract: the hot-path overhaul (batch-drain kernel, lazy
-    bulk admission, columnar serving bookkeeping) is observationally
-    identical to the retained reference paths on seeded runs."""
-
-    def _assert_reports_identical(self, a, b):
-        assert a.records == b.records
-        assert a.rejected == b.rejected
-        assert a.num_batches == b.num_batches
-        assert a.sim_duration == b.sim_duration
-        assert a.placement_actions == b.placement_actions
-        assert a.summary() == b.summary()
+    """The hot path (batch-drain kernel, lazy bulk admission, columnar
+    serving bookkeeping) is observationally identical to the reference
+    paths on seeded runs: the reference drain lives in
+    ``test_sim_kernel.py``, the reference bookkeeping in the golden
+    outputs."""
 
     def test_batch_drain_trace_matches_serial_on_serving_scenario(self):
-        from repro.sim import Scenario
-
-        build_flex, _ = _build_servers(seed=2)
+        build_flex, _ = build_servers(seed=2)
         runs = {}
-        for drain in (True, False):
-            server = build_flex()
-            run = server.event_source()
-            kernel = Scenario(
-                name="drain-identity", sources=(run.source,)
-            ).run(record_trace=True, batch_drain=drain)
-            runs[drain] = (kernel.trace, kernel.processed_events, run.report())
-        assert runs[True][0] == runs[False][0]
-        assert runs[True][1] == runs[False][1]
-        self._assert_reports_identical(runs[True][2], runs[False][2])
+        for serial in (False, True):
+            run = build_flex().event_source()
+            scenario = Scenario(name="drain-identity", sources=(run.source,))
+            kernel = (
+                run_scenario_serially(scenario)
+                if serial
+                else scenario.run(record_trace=True)
+            )
+            runs[serial] = (kernel.trace, kernel.processed_events, run.report())
+        assert runs[False][0] == runs[True][0]
+        assert runs[False][1] == runs[True][1]
+        _assert_reports_identical(runs[False][2], runs[True][2])
         # Ties genuinely occurred (completion + admissions + dispatch at
         # one instant), so this is not a vacuous identity.
-        times = [entry[0] for entry in runs[True][0]]
+        times = [entry[0] for entry in runs[False][0]]
         assert len(times) != len(set(times))
 
     def test_fast_stack_report_matches_reference_stack(self):
         """The full fast stack (lazy bulk admission + batch drain +
-        columnar bookkeeping) against the full reference stack
-        (per-request arrivals + serial drain + per-request records)."""
-        from repro.sim import Scenario
-
-        def run_stack(fast):
-            build_flex, _ = _build_servers(seed=0)
-            server = build_flex()
-            server._vectorized = fast
-            run = server.event_source(lazy_admission=fast)
-            Scenario(name="stack-identity", sources=(run.source,)).run(
-                batch_drain=fast
-            )
-            return run.report()
-
-        fast = run_stack(True)
-        reference = run_stack(False)
-        self._assert_reports_identical(fast, reference)
-        assert fast.num_batches > 0
+        columnar bookkeeping) against the full reference stack's
+        golden output (per-request arrivals + serial drain + per-request
+        records)."""
+        build_flex, _ = build_servers(seed=0)
+        run = build_flex().event_source(lazy_admission=True)
+        Scenario(name="stack-identity", sources=(run.source,)).run()
+        assert_matches_golden("dynamic-seed0", run.report())
 
     def test_vectorized_builder_reports_match_per_request_path(self):
-        """The engine-level ``vectorized`` flag (columnar bookkeeping +
-        lazy admission + batched window ingestion) changes no report
-        field on either the dynamic or the static server."""
-        for seed, pick in ((0, 0), (1, 1)):
-            reports = []
-            for vectorized in (True, False):
-                builders = _build_servers(seed=seed, vectorized=vectorized)
-                reports.append(builders[pick]().run(kernel=True))
-            self._assert_reports_identical(reports[0], reports[1])
-            assert reports[0].num_batches > 0
-
-
-def _multitenant_fixture(seed=0, vectorized=True, num_tenants=1):
-    """One-or-two-tenant servers sharing the scenario of _build_servers."""
-    num_layers, num_gpus, num_experts = 2, 8, 16
-    base = probe_batch_seconds(num_layers, num_gpus, num_experts, 4096,
-                               seed=seed)
-    slo = SLOConfig(
-        latency_target=8 * base,
-        trigger_p99=3 * base,
-        queue_limit_tokens=8192.0,
-    )
-    batching = BatchingConfig(max_batch_tokens=4096, max_queue_tokens=65_536)
-    rate = 0.9 * (4096 / base) / 512
-    stream = RequestStreamConfig(
-        arrival="bursty",
-        rate_rps=rate,
-        num_requests=100,
-        mean_tokens=512,
-        max_tokens=4096,
-        num_topics=4,
-        seed=seed,
-    )
-    tenants = [
-        TenantSpec(
-            name="only",
-            stream=stream,
-            tenant_class=TenantClass("interactive", slo, priority=10),
-        )
-    ]
-    if num_tenants == 2:
-        tenants.append(
-            TenantSpec(
-                name="bulk",
-                stream=stream.replace(
-                    arrival="poisson", rate_rps=rate / 4,
-                    num_requests=40, seed=seed + 1,
-                ),
-                tenant_class=TenantClass(
-                    "batch", SLOConfig(latency_target=32 * base)
-                ),
-                quota_tokens=2048,
-            )
-        )
-    model = MoEModelConfig(
-        name="sim-identity-serving",
-        num_layers=2 * num_layers,
-        d_model=1024,
-        d_ffn=8192,
-        num_experts=num_experts,
-    )
-    routing = TopicRoutingModel(num_layers, num_experts, 4, skew=2.0,
-                                seed=seed)
-    return dict(
-        cluster=cluster_for(num_gpus),
-        model=model,
-        tenants=tuple(tenants),
-        batching=batching,
-        num_moe_layers=num_layers,
-        routing=routing,
-        skew=2.0,
-        seed=seed,
-        vectorized=vectorized,
-    ), stream, slo
+        """Columnar bookkeeping + lazy admission + batched window
+        ingestion reproduce the per-request path's golden reports on
+        both the dynamic and the static server."""
+        for name, seed, pick in (
+            ("dynamic-seed0", 0, 0), ("static-seed1", 1, 1),
+        ):
+            assert_matches_golden(name, build_servers(seed=seed)[pick]().run())
 
 
 class TestMultiTenantIdentity:
-    """ISSUE-7 contract: one-tenant multi-tenant serving reduces exactly
-    to the single-stream path, and the vectorized multi-tenant
-    bookkeeping changes no report field."""
-
-    def _assert_reports_identical(self, a, b):
-        assert a.records == b.records
-        assert a.rejected == b.rejected
-        assert a.num_batches == b.num_batches
-        assert a.sim_duration == b.sim_duration
-        assert a.placement_actions == b.placement_actions
-        assert a.summary() == b.summary()
+    """One-tenant multi-tenant serving reduces exactly to the
+    single-stream path, and the columnar multi-tenant bookkeeping
+    reproduces the per-request path's golden reports."""
 
     def test_single_tenant_reduction_matches_single_stream_path(self):
         """A one-tenant TenantSpec run (priority admission, preemption
         armed but unreachable) is report-identical to the plain
-        single-stream dynamic server on the same seeded scenario."""
-        for vectorized in (True, False):
-            kwargs, stream, slo = _multitenant_fixture(
-                seed=0, vectorized=vectorized
-            )
-            mt_report = build_multitenant_serving(**kwargs).run()
-            requests = RequestStream(stream).generate()
-            plain_report = build_flexmoe_serving(
-                kwargs["cluster"], kwargs["model"], requests,
-                kwargs["batching"], slo,
-                num_moe_layers=kwargs["num_moe_layers"],
-                routing=kwargs["routing"], skew=2.0, seed=0,
-                vectorized=vectorized,
-            ).run()
-            self._assert_reports_identical(mt_report, plain_report)
-            assert mt_report.num_batches > 0
-            # The reduction still carries its tenancy section.
-            assert mt_report.tenancy is not None
-            assert plain_report.tenancy is None
+        single-stream dynamic server on the same seeded scenario, and
+        both reproduce the per-request golden output."""
+        kwargs, stream, slo = multitenant_kwargs(seed=0)
+        mt_report = build_multitenant_serving(**kwargs).run()
+        plain_report = build_single_stream_twin(kwargs, stream, slo).run()
+        _assert_reports_identical(mt_report, plain_report)
+        assert_matches_golden("multitenant-1-seed0", mt_report)
+        # The reduction still carries its tenancy section.
+        assert mt_report.tenancy is not None
+        assert plain_report.tenancy is None
 
     def test_single_tenant_fifo_policy_also_reduces(self):
-        kwargs, stream, slo = _multitenant_fixture(seed=1)
+        kwargs, stream, slo = multitenant_kwargs(seed=1)
         mt_report = build_multitenant_serving(
             **kwargs, admission_policy="fifo", preemption=False
         ).run()
-        plain_report = build_flexmoe_serving(
-            kwargs["cluster"], kwargs["model"],
-            RequestStream(stream).generate(), kwargs["batching"], slo,
-            num_moe_layers=kwargs["num_moe_layers"],
-            routing=kwargs["routing"], skew=2.0, seed=1, vectorized=True,
-        ).run()
-        self._assert_reports_identical(mt_report, plain_report)
+        plain_report = build_single_stream_twin(kwargs, stream, slo).run()
+        _assert_reports_identical(mt_report, plain_report)
 
     def test_multitenant_vectorized_matches_per_request_path(self):
-        """Columnar tenant bookkeeping vs per-request records on a real
-        two-tenant mix: identical reports, identical tenancy counters."""
-        reports = []
-        for vectorized in (True, False):
-            kwargs, _, _ = _multitenant_fixture(
-                seed=0, vectorized=vectorized, num_tenants=2
-            )
-            reports.append(build_multitenant_serving(**kwargs).run())
-        self._assert_reports_identical(reports[0], reports[1])
-        assert reports[0].tenancy == reports[1].tenancy
-        assert reports[0].per_class_summary() == reports[1].per_class_summary()
-        assert reports[0].num_batches > 0
+        """Columnar tenant bookkeeping on a real two-tenant mix against
+        the per-request path's golden report and tenancy counters."""
+        kwargs, _, _ = multitenant_kwargs(seed=0, num_tenants=2)
+        assert_matches_golden(
+            "multitenant-2-seed0", build_multitenant_serving(**kwargs).run()
+        )

@@ -82,6 +82,48 @@ def test_queue_pops_stable_sorted_order(events):
     assert [int(ev.label) for ev in popped] == expected
 
 
+class SerialKernel(SimKernel):
+    """The reference drain: one heap pop per dispatched event.
+
+    The kernel's only drain pops whole same-timestamp groups and merges
+    in same-time reschedules from a side buffer; this subclass is the
+    obviously-correct one-at-a-time drain it must match event for event.
+    It never sets the drain's same-time window, so every reschedule goes
+    through the heap.
+    """
+
+    def run(self, until=None, max_events=5_000_000):
+        queue = self.queue
+        while queue:
+            if self._processed >= max_events:
+                raise SimulationError(
+                    f"event budget exhausted after {max_events} events"
+                )
+            if until is not None and queue.peek().time > until:
+                self.clock.advance_to(until)
+                return self.now
+            event = queue.pop()
+            self.clock.advance_to(event.time)
+            self._processed += 1
+            if self._sink is not None:
+                self._sink.observe(
+                    event.time, event.priority, event.seq, event.label
+                )
+            event.callback()
+        if until is not None:
+            self.clock.advance_to(max(self.now, until))
+        return self.now
+
+
+def run_scenario_serially(scenario, record_trace=True):
+    """:meth:`Scenario.run` on the reference drain."""
+    kernel = SerialKernel(record_trace=record_trace)
+    for source in scenario.sources:
+        source.prime(kernel, scenario)
+    kernel.run(until=scenario.duration)
+    return kernel
+
+
 class TestSimKernel:
     def test_simultaneous_events_resolve_by_priority(self):
         kernel = SimKernel()
@@ -90,17 +132,27 @@ class TestSimKernel:
         kernel.schedule_at(1.0, lambda: seen.append("step"), Priority.STEP)
         kernel.schedule_at(1.0, lambda: seen.append("trigger"), Priority.TRIGGER)
         kernel.schedule_at(1.0, lambda: seen.append("failure"), Priority.FAILURE)
+        # Same time AND priority: first scheduled fires first.
+        kernel.schedule_at(1.0, lambda: seen.append("step2"), Priority.STEP)
+        kernel.schedule(3.0, lambda: seen.append("late"))
+        kernel.schedule(2.0, lambda: seen.append("mid"))
         kernel.run()
-        assert seen == ["failure", "trigger", "step"]
+        assert seen == ["failure", "trigger", "step", "step2", "mid", "late"]
 
     def test_cannot_schedule_into_past(self):
         kernel = SimKernel()
         with pytest.raises(SimulationError):
             kernel.schedule(-1.0, lambda: None)
         kernel.schedule_at(2.0, lambda: None)
-        kernel.run()
+        assert kernel.run() == 2.0
+        assert kernel.now == 2.0
         with pytest.raises(SimulationError):
             kernel.schedule_at(1.0, lambda: None)
+        # schedule_at is absolute, schedule relative to the clock.
+        kernel.schedule_at(4.0, lambda: None)
+        assert kernel.run() == 4.0
+        kernel.schedule(4.0, lambda: None)
+        assert kernel.run() == 8.0
 
     def test_run_until_leaves_future_events(self):
         kernel = SimKernel()
@@ -233,15 +285,16 @@ class TestSmokeHelpers:
 
 
 def _paired_kernels(record_trace=True):
+    """The kernel plus the reference drain, both fresh."""
     return (
-        SimKernel(record_trace=record_trace, batch_drain=True),
-        SimKernel(record_trace=record_trace, batch_drain=False),
+        SimKernel(record_trace=record_trace),
+        SerialKernel(record_trace=record_trace),
     )
 
 
 class TestBatchDrain:
-    """The batched same-timestamp drain is trace-identical to the
-    one-at-a-time reference drain (the ISSUE-6 kernel contract)."""
+    """The kernel's batched same-timestamp drain is trace-identical to
+    the one-at-a-time reference drain (:class:`SerialKernel`)."""
 
     def test_tied_group_dispatches_in_priority_then_seq_order(self):
         for kernel in _paired_kernels():
@@ -280,13 +333,13 @@ class TestBatchDrain:
             kernel.schedule_at(2.0, completion, Priority.COMPLETION)
             kernel.schedule_at(2.0, lambda: seen.append("stream"), Priority.STREAM)
             kernel.run()
-            runs[kernel._batch_drain] = (seen, kernel.trace)
+            runs[type(kernel) is SimKernel] = (seen, kernel.trace)
         assert runs[True][0] == ["completion", "arrival", "dispatch", "stream"]
         assert runs[True][0] == runs[False][0]
         assert runs[True][1] == runs[False][1]
 
     def test_budget_exhaustion_mid_group_restores_remainder(self):
-        kernel = SimKernel(batch_drain=True)
+        kernel = SimKernel()
         seen = []
         for i in range(6):
             kernel.schedule_at(1.0, lambda i=i: seen.append(i), Priority.STEP)
@@ -300,7 +353,7 @@ class TestBatchDrain:
         assert seen == [0, 1, 2, 3, 4, 5]
 
     def test_callback_exception_restores_undispatched_events(self):
-        kernel = SimKernel(batch_drain=True)
+        kernel = SimKernel()
         seen = []
 
         def boom():
@@ -340,7 +393,7 @@ class TestBatchDrain:
 
             kernel.schedule_at(0.0, lambda: tick(0.0))
             kernel.run()
-            runs[kernel._batch_drain] = kernel.trace
+            runs[type(kernel) is SimKernel] = kernel.trace
         assert runs[True] == runs[False]
         assert len(runs[True]) == 6
 
@@ -364,8 +417,7 @@ def test_batch_drain_trace_matches_serial(events):
     re-schedule at the current instant, the batched drain dispatches the
     exact (time, priority, seq) sequence of the reference drain."""
     traces = {}
-    for drain in (True, False):
-        kernel = SimKernel(record_trace=True, batch_drain=drain)
+    for kernel in _paired_kernels():
 
         def make(index, reschedule):
             def callback():
@@ -384,5 +436,5 @@ def test_batch_drain_trace_matches_serial(events):
                 time, make(index, reschedule), priority, label=str(index)
             )
         kernel.run()
-        traces[drain] = kernel.trace
+        traces[type(kernel) is SimKernel] = kernel.trace
     assert traces[True] == traces[False]
