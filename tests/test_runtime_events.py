@@ -1,42 +1,43 @@
-"""Unit tests for the discrete-event loop."""
+"""The discrete-event loop contract, run on the one event loop the
+runtime has: :class:`repro.sim.SimKernel`."""
 
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.runtime.events import EventLoop
+from repro.sim import SimKernel
 
 
 class TestEventLoop:
     def test_runs_in_time_order(self):
-        loop = EventLoop()
+        loop = SimKernel()
         seen = []
-        loop.schedule(2.0, lambda lp: seen.append("b"))
-        loop.schedule(1.0, lambda lp: seen.append("a"))
-        loop.schedule(3.0, lambda lp: seen.append("c"))
+        loop.schedule(2.0, lambda: seen.append("b"))
+        loop.schedule(1.0, lambda: seen.append("a"))
+        loop.schedule(3.0, lambda: seen.append("c"))
         loop.run()
         assert seen == ["a", "b", "c"]
 
     def test_fifo_among_simultaneous(self):
-        loop = EventLoop()
+        loop = SimKernel()
         seen = []
-        loop.schedule(1.0, lambda lp: seen.append(1))
-        loop.schedule(1.0, lambda lp: seen.append(2))
+        loop.schedule(1.0, lambda: seen.append(1))
+        loop.schedule(1.0, lambda: seen.append(2))
         loop.run()
         assert seen == [1, 2]
 
     def test_clock_advances(self):
-        loop = EventLoop()
-        loop.schedule(5.0, lambda lp: None)
+        loop = SimKernel()
+        loop.schedule(5.0, lambda: None)
         assert loop.run() == 5.0
         assert loop.now == 5.0
 
     def test_callbacks_can_schedule_more(self):
-        loop = EventLoop()
+        loop = SimKernel()
         seen = []
 
-        def first(lp):
+        def first():
             seen.append("first")
-            lp.schedule(1.0, lambda l: seen.append("second"))
+            loop.schedule(1.0, lambda: seen.append("second"))
 
         loop.schedule(1.0, first)
         loop.run()
@@ -44,10 +45,10 @@ class TestEventLoop:
         assert loop.now == 2.0
 
     def test_run_until_leaves_future_events(self):
-        loop = EventLoop()
+        loop = SimKernel()
         seen = []
-        loop.schedule(1.0, lambda lp: seen.append("early"))
-        loop.schedule(10.0, lambda lp: seen.append("late"))
+        loop.schedule(1.0, lambda: seen.append("early"))
+        loop.schedule(10.0, lambda: seen.append("late"))
         loop.run(until=5.0)
         assert seen == ["early"]
         assert len(loop) == 1
@@ -55,24 +56,24 @@ class TestEventLoop:
         assert seen == ["early", "late"]
 
     def test_schedule_at_absolute(self):
-        loop = EventLoop()
-        loop.schedule_at(4.0, lambda lp: None)
+        loop = SimKernel()
+        loop.schedule_at(4.0, lambda: None)
         assert loop.run() == 4.0
 
     def test_cannot_schedule_into_past(self):
-        loop = EventLoop()
+        loop = SimKernel()
         with pytest.raises(SimulationError):
-            loop.schedule(-1.0, lambda lp: None)
-        loop.schedule(2.0, lambda lp: None)
+            loop.schedule(-1.0, lambda: None)
+        loop.schedule(2.0, lambda: None)
         loop.run()
         with pytest.raises(SimulationError):
-            loop.schedule_at(1.0, lambda lp: None)
+            loop.schedule_at(1.0, lambda: None)
 
     def test_event_budget_guard(self):
-        loop = EventLoop()
+        loop = SimKernel()
 
-        def recur(lp):
-            lp.schedule(1.0, recur)
+        def recur():
+            loop.schedule(1.0, recur)
 
         loop.schedule(1.0, recur)
         with pytest.raises(SimulationError):
