@@ -136,7 +136,7 @@ class FlexMoESystem(MoESystem):
 
         blocking, outcome = self._layer.begin_step(admitted, step_index)
         plan = self._layer.route(admitted)
-        timing = self._ctx.executor.execute(plan.routes, self.placement)
+        timing = self._ctx.executor.execute(plan.traffic, self.placement)
         if blocking > 0:
             timing = dataclasses.replace(timing, adjustment_blocking=blocking)
         committed = self._layer.advance_stream(

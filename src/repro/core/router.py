@@ -15,12 +15,20 @@ which *replica* of each expert processes each token:
 The output guarantees conservation: every input token is processed by
 exactly one replica — FlexMoE's 100% token efficiency.
 
+A :class:`RoutingPlan` is sparse: only what is actually exchanged is
+materialized. It holds the ``(experts, gpus)`` tokens each source keeps
+(``local``), one ``(expert, src, dst, tokens)`` row per remote flow
+(``spill``) and the per-vExpert capacities, plus the step's ``(src, dst)``
+``traffic`` matrix summed over experts — the one input the executor
+needs. No ``(experts, gpus, gpus)`` tensor is built.
+
 Two implementations share this contract:
 
 * :class:`FlexibleTokenRouter` — the production router. Everything is
   batched NumPy: locality and capacities are computed for all experts at
   once and each expert's spill is scattered in one proportional
-  floor-plus-largest-remainder pass over its whole spill matrix.
+  floor-plus-largest-remainder pass over its spilling sources x slack
+  destinations only.
 * :class:`ReferenceTokenRouter` — the original per-expert / per-source
   greedy loop, kept as the executable specification the vectorized router
   is benchmarked and property-tested against.
@@ -32,12 +40,25 @@ conservation, capacities, locality, and never exceed per-vExpert capacity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.placement import Placement
 from repro.exceptions import RoutingError
+
+#: Column order of :attr:`RoutingPlan.spill` rows.
+EXPERT, SRC, DST, TOKENS = range(4)
+
+
+def _traffic(local: np.ndarray, spill: np.ndarray) -> np.ndarray:
+    """``(src, dst)`` tokens summed over experts: local on the diagonal,
+    every spill row at its (src, dst) cell."""
+    num_gpus = local.shape[1]
+    traffic = np.zeros((num_gpus, num_gpus), dtype=np.int64)
+    np.add.at(traffic, (spill[:, SRC], spill[:, DST]), spill[:, TOKENS])
+    traffic.ravel()[:: num_gpus + 1] += local.sum(axis=0)
+    return traffic
 
 
 @dataclass(frozen=True)
@@ -45,34 +66,49 @@ class RoutingPlan:
     """Result of routing one step's assignment onto a placement.
 
     Attributes:
-        routes: Integer tensor ``(experts, src_gpus, dst_gpus)``.
+        local: ``(experts, gpus)`` tokens processed on their source GPU.
+        spill: int64 ``(n, 4)`` rows ``(expert, src, dst, tokens)``, one
+            per remote flow (``src != dst``, ``tokens > 0``).
         capacities: Per-expert per-vExpert capacity ``cap_e`` used.
+        traffic: ``(src, dst)`` tokens summed over experts, computed once
+            from ``local`` (the diagonal) and ``spill``.
     """
 
-    routes: np.ndarray
+    local: np.ndarray
+    spill: np.ndarray
     capacities: np.ndarray
+    traffic: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "traffic", _traffic(self.local, self.spill))
 
     @property
     def arrivals(self) -> np.ndarray:
         """Tokens arriving at each GPU per expert: ``(experts, dst_gpus)``."""
-        return self.routes.sum(axis=1)
+        arrivals = self.local.astype(np.int64)
+        np.add.at(
+            arrivals, (self.spill[:, EXPERT], self.spill[:, DST]),
+            self.spill[:, TOKENS],
+        )
+        return arrivals
 
     @property
     def gpu_loads(self) -> np.ndarray:
         """Total tokens processed by each GPU."""
-        return self.routes.sum(axis=(0, 1))
+        return self.traffic.sum(axis=0)
 
     @property
     def locality_fraction(self) -> float:
         """Fraction of tokens that never left their source GPU."""
-        total = self.routes.sum()
+        local = self.local.sum()
+        total = local + self.spill[:, TOKENS].sum()
         if total == 0:
             return 1.0
-        local = np.trace(self.routes.sum(axis=0))
         return float(local / total)
 
     def tokens_for(self, expert: int) -> int:
-        return int(self.routes[expert].sum())
+        rows = self.spill[:, EXPERT] == expert
+        return int(self.local[expert].sum() + self.spill[rows, TOKENS].sum())
 
 
 def _validate_assignment(assignment: np.ndarray, placement: Placement) -> np.ndarray:
@@ -103,14 +139,12 @@ class FlexibleTokenRouter:
             RoutingError: On shape mismatch or negative counts.
         """
         demand = _validate_assignment(assignment, placement).astype(np.int64)
-        num_experts, num_gpus = demand.shape
         counts = placement.counts_view
 
         totals = demand.sum(axis=1)
         replicas = counts.sum(axis=1)
-        capacities = np.zeros(num_experts, dtype=np.int64)
-        active = totals > 0
-        capacities[active] = -(-totals[active] // replicas[active])  # ceil
+        # ceil(totals / replicas): 0 for an expert without tokens.
+        capacities = -(-totals // np.maximum(replicas, 1))
 
         # Locality first, all experts at once: each source keeps up to its
         # local replicas' capacity.
@@ -119,22 +153,26 @@ class FlexibleTokenRouter:
         remaining = cap_matrix - local
         spill = demand - local
 
-        routes = np.zeros((num_experts, num_gpus, num_gpus), dtype=np.int64)
-        diag = np.arange(num_gpus)
-        routes[:, diag, diag] = local
-        spilling = np.flatnonzero(spill.sum(axis=1))
-        if spilling.size:
-            self._scatter_spill_batch(routes, spill, remaining, spilling)
-        return RoutingPlan(routes=routes, capacities=capacities)
+        triples = self._scatter_spill_batch(spill, remaining)
+        return RoutingPlan(local=local, spill=triples, capacities=capacities)
 
     @staticmethod
     def _scatter_spill_batch(
-        routes: np.ndarray,
         spill: np.ndarray,
         remaining: np.ndarray,
-        spilling: np.ndarray,
-    ) -> None:
+    ) -> np.ndarray:
         """Scatter every spilling expert's tokens in one batched pass.
+
+        Works on each expert's spilling sources x slack destinations only
+        (an expert that does not spill has neither). The two sets are
+        disjoint (a source that spills has no capacity left), so one
+        stable sort per expert orders its GPUs as
+        [spilling | neither | slack], each group in index order; the
+        first ``R`` and last ``C`` positions (the widest expert's counts)
+        are the compacted rows and columns. Padding entries carry 0 tokens
+        or 0 slack, which add exactly 0 to every sum and cumsum below, so
+        the result is bit-identical to the same pass over the full
+        ``(gpus, gpus)`` grid.
 
         Proportional shares are floored for all experts at once; the
         integer leftovers (one partial token per fractional share) are then
@@ -144,18 +182,33 @@ class FlexibleTokenRouter:
         expert's total column slack covers its total row leftover — and
         both the row sums (conservation) and column caps (capacity) hold
         exactly.
+
+        Returns:
+            The ``(expert, src, dst, tokens)`` spill rows, sorted.
         """
-        sub_spill = spill[spilling]
-        sub_rem = remaining[spilling]
-        totals = sub_rem.sum(axis=1).astype(float)
-        if (sub_spill.sum(axis=1) > sub_rem.sum(axis=1)).any():
+        spill_totals = spill.sum(axis=1)
+        totals = remaining.sum(axis=1)
+        if (spill_totals > totals).any():
             raise RoutingError(
                 "spill exceeds available capacity — capacity invariant violated"
             )
-        exact = sub_spill[:, :, None] * (sub_rem / totals[:, None])[:, None, :]
+        is_row = spill > 0
+        is_col = (remaining > 0) & (spill_totals > 0)[:, None]
+        order = np.argsort(
+            is_col.view(np.int8) - is_row.view(np.int8), axis=1, kind="stable"
+        )
+        rows = order[:, : is_row.sum(axis=1).max()]
+        cols = order[:, order.shape[1] - is_col.sum(axis=1).max() :]
+        experts = np.arange(spill.shape[0])[:, None]
+        row_tokens = spill[experts, rows]
+        col_avail = remaining[experts, cols]
+        # Experts without slack have no spilling rows either: a divisor of
+        # 1 keeps their all-zero shares finite.
+        totals = np.maximum(totals, 1)
+        exact = row_tokens[:, :, None] * (col_avail / totals[:, None])[:, None, :]
         shares = np.floor(exact).astype(np.int64)
-        row_left = sub_spill - shares.sum(axis=2)
-        col_slack = sub_rem - shares.sum(axis=1)
+        row_left = row_tokens - shares.sum(axis=2)
+        col_slack = col_avail - shares.sum(axis=1)
         # Northwest-corner fill: walk rows and columns in index order,
         # granting each (row, column) cell the overlap of the row's and the
         # column's outstanding cumulative ranges.
@@ -166,7 +219,13 @@ class FlexibleTokenRouter:
         upper = np.minimum(rows_hi[:, :, None], cols_hi[:, None, :])
         lower = np.maximum(rows_lo[:, :, None], cols_lo[:, None, :])
         shares += np.maximum(upper - lower, 0)
-        routes[spilling] += shares
+        expert, row, col = shares.nonzero()
+        triples = np.empty((expert.size, 4), dtype=np.int64)
+        triples[:, EXPERT] = expert
+        triples[:, SRC] = rows[expert, row]
+        triples[:, DST] = cols[expert, col]
+        triples[:, TOKENS] = shares[expert, row, col]
+        return triples
 
     def route_fractional(
         self, assignment: np.ndarray, placement: Placement
@@ -226,8 +285,9 @@ class ReferenceTokenRouter(FlexibleTokenRouter):
         demand_matrix = _validate_assignment(assignment, placement)
         num_experts, num_gpus = demand_matrix.shape
         counts = placement.counts
-        routes = np.zeros((num_experts, num_gpus, num_gpus), dtype=np.int64)
+        local = np.zeros((num_experts, num_gpus), dtype=np.int64)
         capacities = np.zeros(num_experts, dtype=np.int64)
+        spill = [np.zeros((0, 4), dtype=np.int64)]
         for expert in range(num_experts):
             demand = demand_matrix[expert].astype(np.int64)
             total = int(demand.sum())
@@ -237,8 +297,20 @@ class ReferenceTokenRouter(FlexibleTokenRouter):
             n_e = int(replicas.sum())
             cap = -(-total // n_e)  # ceil division
             capacities[expert] = cap
-            self._route_expert(routes[expert], demand, replicas * cap)
-        return RoutingPlan(routes=routes, capacities=capacities)
+            routes = np.zeros((num_gpus, num_gpus), dtype=np.int64)
+            self._route_expert(routes, demand, replicas * cap)
+            local[expert] = np.diag(routes)
+            np.fill_diagonal(routes, 0)
+            src, dst = np.nonzero(routes)
+            spill.append(
+                np.stack(
+                    [np.full_like(src, expert), src, dst, routes[src, dst]],
+                    axis=1,
+                )
+            )
+        return RoutingPlan(
+            local=local, spill=np.concatenate(spill), capacities=capacities
+        )
 
     def _route_expert(
         self, routes: np.ndarray, demand: np.ndarray, capacity: np.ndarray
@@ -301,15 +373,34 @@ def validate_conservation(
 ) -> None:
     """Assert that ``plan`` processes every assigned token exactly once.
 
+    Checks the sparse form itself: every spill row moves a positive token
+    count off its source GPU, each (expert, source) pair's local plus
+    spilled tokens equal its assignment, and ``plan.traffic`` is the
+    ``(src, dst)`` sum of exactly those flows.
+
     Raises:
         RoutingError: If any (expert, source) pair's tokens are lost or
-            duplicated.
+            duplicated, or the plan's parts disagree.
     """
-    sent = plan.routes.sum(axis=2)
-    if not np.array_equal(sent, np.asarray(assignment)):
-        diff = np.argwhere(sent != np.asarray(assignment))
+    assignment = np.asarray(assignment)
+    spill = plan.spill
+    if ((spill[:, TOKENS] <= 0) | (spill[:, SRC] == spill[:, DST])).any():
+        raise RoutingError(
+            "spill rows must move a positive token count off their source gpu"
+        )
+    if plan.local.shape != assignment.shape:
+        raise RoutingError(
+            f"plan shape {plan.local.shape} does not match assignment "
+            f"{assignment.shape}"
+        )
+    sent = plan.local.astype(np.int64)
+    np.add.at(sent, (spill[:, EXPERT], spill[:, SRC]), spill[:, TOKENS])
+    if not np.array_equal(sent, assignment):
+        diff = np.argwhere(sent != assignment)
         e, g = diff[0]
         raise RoutingError(
             f"conservation violated for expert {e}, source gpu {g}: "
             f"assigned {assignment[e, g]}, routed {sent[e, g]}"
         )
+    if not np.array_equal(plan.traffic, _traffic(plan.local, spill)):
+        raise RoutingError("traffic matrix disagrees with the plan's flows")

@@ -159,7 +159,12 @@ class StepExecutor:
     def _jittered(self, value: float | np.ndarray) -> float | np.ndarray:
         if self._jitter == 0:
             return value
-        noise = self._rng.normal(1.0, self._jitter, np.shape(value) or None)
+        if np.ndim(value) == 0:
+            # Scalar draw: plain min/max clips exactly as np.clip does,
+            # without its per-call overhead.
+            noise = self._rng.normal(1.0, self._jitter)
+            return value * min(max(noise, 0.5), 1.5)
+        noise = self._rng.normal(1.0, self._jitter, np.shape(value))
         return value * np.clip(noise, 0.5, 1.5)
 
     # ------------------------------------------------------------------
@@ -171,13 +176,19 @@ class StepExecutor:
             raise SimulationError("tokens must be >= 0")
         return float(self._jittered(tokens / self._effective_tps()[gpu]))
 
-    def real_a2a_pass_time(self, routes: np.ndarray) -> float:
-        """Measured seconds of ONE All-to-All pass for a route tensor."""
-        flow = np.asarray(routes, dtype=float).sum(axis=0) * self._model.token_bytes
+    def _a2a_peak(self, traffic: np.ndarray) -> float:
+        """Un-jittered seconds of one All-to-All pass of the float
+        ``(src, dst)`` token matrix: its slowest destination's receive."""
+        flow = traffic * self._model.token_bytes
         np.fill_diagonal(flow, 0.0)
         # Cached read-only dense matrix: no O(G^2) copy per A2A pass.
         per_dst = (flow / self._topology.bandwidth_model().dense()).sum(axis=0)
-        return float(self._jittered(per_dst.max()) if per_dst.size else 0.0)
+        return per_dst.max()
+
+    def real_a2a_pass_time(self, traffic: np.ndarray) -> float:
+        """Measured seconds of ONE All-to-All pass for a traffic matrix."""
+        peak = self._a2a_peak(np.asarray(traffic, dtype=float))
+        return float(self._jittered(peak))
 
     def real_allreduce_time(self, nbytes: float, group: tuple[int, ...]) -> float:
         """Measured seconds for one AllReduce of ``nbytes`` over ``group``."""
@@ -188,32 +199,35 @@ class StepExecutor:
     # ------------------------------------------------------------------
     def execute(
         self,
-        routes: np.ndarray,
+        traffic: np.ndarray,
         placement: Placement,
         adjustment_blocking: float = 0.0,
     ) -> StepTiming:
         """Execute one step and return its measured timing.
 
         Args:
-            routes: ``(experts, src, dst)`` token flows from the router.
+            traffic: ``(src, dst)`` token flows summed over experts
+                (:attr:`~repro.core.router.RoutingPlan.traffic`).
             placement: Placement the step ran under (defines sync groups).
             adjustment_blocking: Non-overlapped adjustment seconds charged
                 to this step.
         """
-        routes = np.asarray(routes, dtype=float)
-        if routes.ndim != 3:
-            raise SimulationError("routes must be (experts, src, dst)")
+        traffic = np.asarray(traffic, dtype=float)
+        if traffic.ndim != 2 or traffic.shape[0] != traffic.shape[1]:
+            raise SimulationError("traffic must be a square (src, dst) matrix")
         if adjustment_blocking < 0:
             raise SimulationError("adjustment_blocking must be >= 0")
 
         # --- All-to-All: dispatch + combine (forward + backward when
-        # training; inference skips the backward passes) -----------------
+        # training; inference skips the backward passes). Every pass moves
+        # the same traffic, so only the jitter differs between them. ------
         passes = 2 if self._inference else 4
-        a2a_time = sum(self.real_a2a_pass_time(routes) for _ in range(passes))
+        peak = self._a2a_peak(traffic)
+        a2a_time = sum(float(self._jittered(peak)) for _ in range(passes))
 
         # --- Expert compute: forward barrier (plus backward barrier when
         # training) ------------------------------------------------------
-        per_gpu_tokens = routes.sum(axis=(0, 1))
+        per_gpu_tokens = traffic.sum(axis=0)
         busy = np.asarray(
             self._jittered(per_gpu_tokens / self._effective_tps()), dtype=float
         )
@@ -366,7 +380,7 @@ class PipelinedStepExecutor:
     step:
 
     * each MoE layer runs its full dispatch/compute/combine/sync timeline
-      against its own placement and routes;
+      against its own placement and traffic;
     * the dense computation of the surrounding transformer blocks
       (:attr:`MoEModelConfig.dense_flops_per_moe_block`) executes between
       MoE blocks;
@@ -444,23 +458,23 @@ class PipelinedStepExecutor:
 
     def execute(
         self,
-        layer_routes: Sequence[np.ndarray],
+        layer_traffic: Sequence[np.ndarray],
         placements: Sequence[Placement],
         adjustment_blocking: float = 0.0,
     ) -> PipelineStepTiming:
         """Execute one whole-transformer step and return its timing.
 
         Args:
-            layer_routes: One ``(experts, src, dst)`` route tensor per MoE
+            layer_traffic: One ``(src, dst)`` traffic matrix per MoE
                 layer, in layer order.
             placements: The per-layer placements the step ran under.
             adjustment_blocking: Non-overlapped adjustment seconds charged
                 to this step.
         """
-        if len(layer_routes) != self._num_layers:
+        if len(layer_traffic) != self._num_layers:
             raise SimulationError(
-                f"expected routes for {self._num_layers} layers, "
-                f"got {len(layer_routes)}"
+                f"expected traffic for {self._num_layers} layers, "
+                f"got {len(layer_traffic)}"
             )
         if len(placements) != self._num_layers:
             raise SimulationError(
@@ -472,12 +486,11 @@ class PipelinedStepExecutor:
         layer_timings = []
         dense_time = 0.0
         hidden = 0.0
-        for routes, placement in zip(layer_routes, placements):
-            timing = self._executor.execute(routes, placement)
+        for traffic, placement in zip(layer_traffic, placements):
+            timing = self._executor.execute(traffic, placement)
             layer_timings.append(timing)
             if self._model_dense:
-                source_tokens = np.asarray(routes, dtype=float).sum(axis=(0, 2))
-                block = self.dense_block_time(source_tokens)
+                block = self.dense_block_time(np.sum(traffic, axis=1))
                 dense_time += block
                 hidden += min(
                     timing.a2a_time, self._overlap_efficiency * block

@@ -1151,7 +1151,7 @@ class MultiLayerFlexMoEEngine:
             for layer, assignment in zip(self._layers, pending.assignments)
         ]
         pending.timing = self._pipe.execute(
-            [plan.routes for plan in pending.plans],
+            [plan.traffic for plan in pending.plans],
             [layer.active_placement for layer in self._layers],
             adjustment_blocking=pending.blocking,
         )

@@ -29,8 +29,8 @@ class TestSyncChaining:
     ):
         """A GPU in two replica groups issues both AllReduces in sequence."""
         placement = placement_with_groups({0: (0, 1), 1: (0, 2)})
-        routes = np.zeros((8, 8, 8))
-        timing = exact_executor.execute(routes, placement)
+        traffic = np.zeros((8, 8))
+        timing = exact_executor.execute(traffic, placement)
         t_a = collectives.allreduce_time(model_config.expert_bytes, (0, 1))
         t_b = collectives.allreduce_time(model_config.expert_bytes, (0, 2))
         assert timing.sync_time == pytest.approx(t_a + t_b)
@@ -40,8 +40,8 @@ class TestSyncChaining:
     ):
         """Groups with no shared GPU run concurrently: phase = slowest."""
         placement = placement_with_groups({0: (0, 1), 1: (2, 3)})
-        routes = np.zeros((8, 8, 8))
-        timing = exact_executor.execute(routes, placement)
+        traffic = np.zeros((8, 8))
+        timing = exact_executor.execute(traffic, placement)
         t_a = collectives.allreduce_time(model_config.expert_bytes, (0, 1))
         t_b = collectives.allreduce_time(model_config.expert_bytes, (2, 3))
         assert timing.sync_time == pytest.approx(max(t_a, t_b))
@@ -50,8 +50,8 @@ class TestSyncChaining:
         self, exact_executor, collectives, model_config
     ):
         placement = placement_with_groups({0: (0, 1), 1: (2, 4)})
-        routes = np.zeros((8, 8, 8))
-        timing = exact_executor.execute(routes, placement)
+        traffic = np.zeros((8, 8))
+        timing = exact_executor.execute(traffic, placement)
         t_inter = collectives.allreduce_time(
             model_config.expert_bytes, (2, 4)
         )
@@ -62,7 +62,7 @@ class TestSyncChaining:
     ):
         """Two experts with identical groups still pay two AllReduces."""
         placement = placement_with_groups({0: (0, 1), 1: (0, 1)})
-        routes = np.zeros((8, 8, 8))
-        timing = exact_executor.execute(routes, placement)
+        traffic = np.zeros((8, 8))
+        timing = exact_executor.execute(traffic, placement)
         t_one = collectives.allreduce_time(model_config.expert_bytes, (0, 1))
         assert timing.sync_time == pytest.approx(2 * t_one)

@@ -10,6 +10,7 @@ from repro.config import ClusterConfig, MoEModelConfig
 from repro.core.cost_model import MoECostModel
 from repro.core.placement import Placement
 from repro.core.router import FlexibleTokenRouter
+from routing_oracle import dense_routes
 
 
 def build_cost_model(seed: int = 0) -> tuple[MoECostModel, Placement]:
@@ -34,7 +35,7 @@ def assignments(max_tokens=20_000):
 @given(assignment=assignments())
 def test_step_time_non_negative_and_max_of_gpus(assignment):
     plan = ROUTER.route(assignment, PLACEMENT)
-    breakdown = COST_MODEL.step_breakdown(plan.routes, PLACEMENT)
+    breakdown = COST_MODEL.step_breakdown(dense_routes(plan), PLACEMENT)
     assert breakdown.step_time >= 0
     assert breakdown.step_time == pytest.approx(
         breakdown.per_gpu_total.max()
@@ -50,8 +51,8 @@ def test_cost_monotone_in_token_scale(assignment, scale):
     """Scaling every token count up never reduces the modelled time."""
     plan_small = ROUTER.route(assignment, PLACEMENT)
     plan_large = ROUTER.route(assignment * scale, PLACEMENT)
-    t_small = COST_MODEL.step_time(plan_small.routes, PLACEMENT)
-    t_large = COST_MODEL.step_time(plan_large.routes, PLACEMENT)
+    t_small = COST_MODEL.step_time(dense_routes(plan_small), PLACEMENT)
+    t_large = COST_MODEL.step_time(dense_routes(plan_large), PLACEMENT)
     assert t_large >= t_small - 1e-12
 
 
@@ -59,7 +60,7 @@ def test_cost_monotone_in_token_scale(assignment, scale):
 @given(assignment=assignments())
 def test_utilization_bounded(assignment):
     plan = ROUTER.route(assignment, PLACEMENT)
-    breakdown = COST_MODEL.step_breakdown(plan.routes, PLACEMENT)
+    breakdown = COST_MODEL.step_breakdown(dense_routes(plan), PLACEMENT)
     assert 0.0 <= breakdown.compute_utilization <= 1.0
 
 
@@ -69,7 +70,7 @@ def test_fractional_and_integer_costs_agree(assignment):
     """The relaxation used for candidate search tracks the integer cost."""
     integer = ROUTER.route(assignment, PLACEMENT)
     frac = ROUTER.route_fractional(assignment, PLACEMENT)
-    t_int = COST_MODEL.step_time(integer.routes, PLACEMENT)
+    t_int = COST_MODEL.step_time(dense_routes(integer), PLACEMENT)
     t_frac = COST_MODEL.step_time(frac, PLACEMENT)
     if t_int > 1e-9:
         assert t_frac == pytest.approx(t_int, rel=0.05)

@@ -22,9 +22,9 @@ class TestRealOperations:
         )
 
     def test_local_a2a_free(self, executor):
-        routes = np.zeros((2, 8, 8))
-        routes[0, 3, 3] = 1000
-        assert executor.real_a2a_pass_time(routes) == 0.0
+        traffic = np.zeros((8, 8))
+        traffic[3, 3] = 1000
+        assert executor.real_a2a_pass_time(traffic) == 0.0
 
     def test_allreduce_time_matches_collectives(self, executor, collectives, model_config):
         group = (0, 1, 4)
@@ -49,7 +49,7 @@ class TestRealOperations:
 class TestExecute:
     def test_step_composition(self, executor, placement, assignment):
         plan = FlexibleTokenRouter().route(assignment, placement)
-        timing = executor.execute(plan.routes, placement)
+        timing = executor.execute(plan.traffic, placement)
         assert timing.step_time == pytest.approx(
             timing.a2a_time
             + timing.compute_time
@@ -63,23 +63,21 @@ class TestExecute:
         placement = Placement.expert_parallel(
             model_config.num_experts, topology.num_gpus
         )
-        routes = np.zeros(
-            (model_config.num_experts, topology.num_gpus, topology.num_gpus)
-        )
-        routes[0, 0, 0] = 100
-        timing = executor.execute(routes, placement)
+        traffic = np.zeros((topology.num_gpus, topology.num_gpus))
+        traffic[0, 0] = 100
+        timing = executor.execute(traffic, placement)
         assert timing.sync_time == 0.0
 
     def test_replicated_placement_pays_sync(self, executor, placement):
-        routes = np.zeros((8, 8, 8))
-        timing = executor.execute(routes, placement)
+        traffic = np.zeros((8, 8))
+        timing = executor.execute(traffic, placement)
         assert timing.sync_time > 0  # balanced(8, 8, 2) replicates experts
 
     def test_adjustment_blocking_added(self, executor, placement, assignment):
         plan = FlexibleTokenRouter().route(assignment, placement)
-        base = executor.execute(plan.routes, placement)
+        base = executor.execute(plan.traffic, placement)
         blocked = executor.execute(
-            plan.routes, placement, adjustment_blocking=0.5
+            plan.traffic, placement, adjustment_blocking=0.5
         )
         assert blocked.step_time == pytest.approx(base.step_time + 0.5)
 
@@ -88,24 +86,27 @@ class TestExecute:
         executor = StepExecutor(
             topology, model_config, jitter=0.0, group_cache=cache
         )
-        routes = np.zeros((8, 8, 8))
-        first = executor.execute(routes, placement)
-        second = executor.execute(routes, placement)
+        traffic = np.zeros((8, 8))
+        first = executor.execute(traffic, placement)
+        second = executor.execute(traffic, placement)
         assert first.sync_time > second.sync_time  # creations amortized
         assert cache.stats.misses > 0
         assert cache.stats.hits > 0
 
     def test_utilization_bounds(self, executor, placement, assignment):
         plan = FlexibleTokenRouter().route(assignment, placement)
-        timing = executor.execute(plan.routes, placement)
+        timing = executor.execute(plan.traffic, placement)
         assert 0.0 <= timing.compute_utilization <= 1.0
 
     def test_validation(self, executor, placement):
+        # A per-expert route tensor or a non-square matrix is not traffic.
         with pytest.raises(SimulationError):
-            executor.execute(np.zeros((8, 8)), placement)
+            executor.execute(np.zeros((8, 8, 8)), placement)
+        with pytest.raises(SimulationError):
+            executor.execute(np.zeros((8, 4)), placement)
         with pytest.raises(SimulationError):
             executor.execute(
-                np.zeros((8, 8, 8)), placement, adjustment_blocking=-1
+                np.zeros((8, 8)), placement, adjustment_blocking=-1
             )
         with pytest.raises(SimulationError):
             executor.real_compute_time(-5, 0)
