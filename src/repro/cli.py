@@ -968,7 +968,7 @@ def _cmd_scale(args: argparse.Namespace) -> int:
         engine = entry["engine"]
         events = entry["kernel_events"]
         if "skipped" in engine:
-            engine_col = "engine --------- (spill batch, pricing)"
+            engine_col = "engine --------- (spill batch)"
         else:
             engine_col = f"engine {engine['steps_per_sec']:7.2f} steps/s"
         print(

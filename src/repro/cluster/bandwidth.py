@@ -231,30 +231,3 @@ class BandwidthModel:
         return (same_node - spill) * (1.0 / self._intra) + (
             total - same_node
         ) * (1.0 / self._inter)
-
-    def min_offdiag(self, gpus) -> float:
-        """Slowest pairwise link within a group (off-diagonal minimum).
-
-        The ring-collective bottleneck behind
-        :meth:`~repro.cluster.topology.ClusterTopology.min_group_bandwidth`.
-        The group must contain at least two distinct devices.
-        """
-        gpus = np.asarray(gpus, dtype=np.int64)
-        if gpus.size < 2:
-            raise TopologyError(
-                "off-diagonal minimum needs a group of >= 2 devices"
-            )
-        if not self._blocked:
-            sub = self._dense[np.ix_(gpus, gpus)]
-            return float(sub[~np.eye(gpus.size, dtype=bool)].min())
-        devices, dev_counts = np.unique(gpus, return_counts=True)
-        nodes = np.unique(self._nodes_of(devices), return_counts=True)
-        candidates = []
-        if (dev_counts > 1).any():
-            # A repeated index contributes a (g, g) "pair" at local speed.
-            candidates.append(self._local)
-        if (nodes[1] > 1).any():
-            candidates.append(self._intra)
-        if nodes[0].size > 1:
-            candidates.append(self._inter)
-        return min(candidates)

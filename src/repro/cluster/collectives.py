@@ -54,8 +54,7 @@ class CollectiveCostModel:
         if len(group) == 1 or nbytes == 0:
             return 0.0
         n = len(group)
-        bottleneck = self._topology.min_group_bandwidth(group)
-        latency = self._max_group_latency(group)
+        bottleneck, latency = self._topology.ring_links(group)
         transfer = 2.0 * (n - 1) / n * nbytes / bottleneck
         return transfer + 2.0 * (n - 1) * latency
 
@@ -85,9 +84,5 @@ class CollectiveCostModel:
         group = sorted(set(group) | {root})
         if len(group) == 1 or nbytes == 0:
             return 0.0
-        bottleneck = self._topology.min_group_bandwidth(group)
-        latency = self._max_group_latency(group)
+        bottleneck, latency = self._topology.ring_links(group)
         return nbytes / bottleneck + (len(group) - 1) * latency
-
-    def _max_group_latency(self, group: Sequence[int]) -> float:
-        return self._topology.max_group_latency(group)

@@ -182,43 +182,56 @@ class ClusterTopology:
         """Slowest pairwise link within a device group.
 
         Ring-style collectives are bottlenecked by their slowest hop; for
-        groups that span nodes this is the inter-node link.
+        groups that span nodes this is the inter-node link. Repeated ids
+        count once.
         """
-        gpus = list(gpus)
-        if not gpus:
+        devices = sorted(set(gpus))
+        if not devices:
             raise TopologyError("device group must be non-empty")
-        for g in gpus:
-            self._check_gpu(g)
-        if len(gpus) == 1:
+        if len(devices) == 1:
+            self._check_gpu(devices[0])
             return self.LOCAL_COPY_BANDWIDTH
-        return self.bandwidth_model().min_offdiag(np.asarray(gpus, dtype=np.int64))
+        return self.ring_links(devices)[0]
 
-    def max_group_latency(self, gpus: Sequence[int]) -> float:
-        """Slowest pairwise one-way latency within a device group.
+    def ring_links(self, devices: Sequence[int]) -> tuple[float, float]:
+        """``(bottleneck bandwidth, worst one-way latency)`` of a ring.
 
-        O(n) class logic: the worst hop is inter-node when the group spans
-        nodes, intra-node when two distinct devices share a node, and zero
-        for a single (possibly repeated) device.
+        ``devices`` are sorted distinct ids, at least two. On the
+        node-major layout the worst hop is intra-node when two members
+        share a node and inter-node when the group spans nodes, so one
+        pass over the ids' node numbers answers both. The NIC-scaled
+        fabric (:meth:`bandwidth_model` wraps an explicit matrix) takes
+        the off-diagonal minimum of the group's block instead.
         """
-        gpus = np.asarray(list(gpus), dtype=np.int64)
-        if gpus.size == 0:
-            raise TopologyError("device group must be non-empty")
-        if gpus.min() < 0 or gpus.max() >= self.num_gpus:
+        if len(devices) < 2:
+            raise TopologyError("a ring needs >= 2 distinct devices")
+        if devices[0] < 0 or devices[-1] >= self.num_gpus:
             raise TopologyError(
                 f"gpu out of range [0, {self.num_gpus}) in group"
             )
-        devices = np.unique(gpus)
-        if devices.size < 2:
-            return 0.0
-        node_ids, node_counts = np.unique(
-            devices // self._config.gpus_per_node, return_counts=True
-        )
-        worst = 0.0
-        if (node_counts > 1).any():
-            worst = float(self._config.intra_node_latency)
-        if node_ids.size > 1:
-            worst = max(worst, float(self._config.inter_node_latency))
-        return worst
+        cfg = self._config
+        per_node = cfg.gpus_per_node
+        shares_node = len({g // per_node for g in devices}) < len(devices)
+        spans_nodes = devices[0] // per_node != devices[-1] // per_node
+        fabric = self.bandwidth_model()
+        if fabric.is_blocked:
+            _, intra, inter = fabric.class_values
+            links = []
+            if shares_node:
+                links.append(intra)
+            if spans_nodes:
+                links.append(inter)
+            bottleneck = min(links)
+        else:
+            ids = np.asarray(devices, dtype=np.int64)
+            block = fabric.dense()[np.ix_(ids, ids)]
+            bottleneck = float(block[~np.eye(ids.size, dtype=bool)].min())
+        latency = 0.0
+        if shares_node:
+            latency = float(cfg.intra_node_latency)
+        if spans_nodes:
+            latency = max(latency, float(cfg.inter_node_latency))
+        return bottleneck, latency
 
     def _check_gpu(self, gpu: int) -> None:
         if not 0 <= gpu < self.num_gpus:

@@ -82,6 +82,9 @@ class DeltaStepCost:
         # A2A passes, no gradient sync) price deltas consistently.
         self._a2a_factor = cost_model.a2a_passes * cost_model.model.token_bytes
         self._grad_bytes = cost_model.sync_bytes
+        # Membership -> AllReduce seconds; the profile never re-prices a
+        # group, so entries stay valid for this evaluator's lifetime.
+        self._sync_seconds: dict[bytes, float] = {}
         # Base state (populated by rebase()).
         self._placement: Placement | None = None
         self._placement_version = -1
@@ -165,16 +168,24 @@ class DeltaStepCost:
     def _sync_row(self, counts_row: np.ndarray) -> np.ndarray:
         """Per-GPU sync seconds (Eq. 9) contributed by one expert row.
 
-        Prices the replica group through the profile's lazy AllReduce
-        cache, preserving the reference path's first-seen probe order.
+        Sync seconds are memoized per membership (the member ids' bytes:
+        the group, at O(group) key size). A miss prices the group through
+        the profile's lazy AllReduce cache, so first-seen probes keep the
+        reference path's order; a hit is a group the profile already
+        holds, so skipping the call draws no noise.
         """
-        members = np.flatnonzero(counts_row)
+        members = counts_row.nonzero()[0]
         sync = np.zeros(counts_row.shape[-1])
         if self._grad_bytes and members.size > 1:
-            group = tuple(int(g) for g in members)
-            sync[members] = (
-                self._grad_bytes / self._cost_model.profile.allreduce_bps(group)
-            )
+            key = members.tobytes()
+            seconds = self._sync_seconds.get(key)
+            if seconds is None:
+                bps = self._cost_model.profile.allreduce_bps(
+                    tuple(members.tolist())
+                )
+                seconds = self._grad_bytes / bps
+                self._sync_seconds[key] = seconds
+            sync[members] = seconds
         return sync
 
     def _totals_to_time(
@@ -379,16 +390,22 @@ class DeltaStepCost:
             - self._sync[shrink_expert]
         )
         sync = np.empty_like(tokens)
-        lo, hi = sorted((expand_expert, shrink_expert))
-        rows = {expand_expert: row0, shrink_expert: row1}
+        # Expanding onto a holder, or shrinking one of several copies on
+        # a GPU, leaves the replica group (and its base sync row) as is.
+        rows = {
+            expand_expert: (row0, self._counts[expand_expert, gpus] > 0),
+            shrink_expert: (row1, self._counts[shrink_expert, gpus] > 1),
+        }
+        lo, hi = sorted(rows)
+
+        def sync_row(expert: int, i: int) -> np.ndarray:
+            row, kept = rows[expert]
+            return self._sync[expert] if kept[i] else self._sync_row(row[i])
+
         for i in range(gpus.size):
             # Ascending-expert probe order matches the reference
             # evaluator's sync_times pass on the same candidate.
-            sync[i] = (
-                sync_base
-                + self._sync_row(rows[lo][i])
-                + self._sync_row(rows[hi][i])
-            )
+            sync[i] = sync_base + sync_row(lo, i) + sync_row(hi, i)
         times = self._totals_to_time(tokens, a2a, sync)
         self.evaluations += gpus.size
         if self._audit:

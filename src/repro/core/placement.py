@@ -249,7 +249,14 @@ class Placement:
 
     def replica_groups(self) -> dict[int, tuple[int, ...]]:
         """Maps every expert to its replica GPU group."""
-        return {e: self.gpus_of(e) for e in range(self.num_experts)}
+        held = self._counts > 0
+        gpus = np.nonzero(held)[1].tolist()  # row-major: by expert, then GPU
+        groups: dict[int, tuple[int, ...]] = {}
+        start = 0
+        for expert, size in enumerate(held.sum(axis=1).tolist()):
+            groups[expert] = tuple(gpus[start : start + size])
+            start += size
+        return groups
 
     def used_slots(self, gpu: int) -> int:
         self._check_gpu(gpu)

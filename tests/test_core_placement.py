@@ -119,6 +119,18 @@ class TestQueries:
         assert set(groups) == {0, 1}
         assert all(len(g) == 2 for g in groups.values())
 
+    def test_replica_groups_match_gpus_of(self):
+        rng = np.random.default_rng(5)
+        counts = rng.integers(0, 3, size=(12, 7)) * (
+            rng.random((12, 7)) < 0.4
+        )
+        counts[np.arange(12), rng.integers(0, 7, size=12)] += 1
+        p = Placement(counts, int(counts.sum(axis=0).max()))
+        groups = p.replica_groups()
+        assert groups == {e: p.gpus_of(e) for e in range(12)}
+        assert list(groups) == list(range(12))
+        assert all(type(g) is int for group in groups.values() for g in group)
+
     def test_memory_counts_distinct_experts(self):
         counts = np.array([[2, 0], [0, 1], [0, 1]], dtype=np.int64)
         p = Placement(counts, 2)

@@ -15,12 +15,15 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.events import ClusterState
 from repro.cluster.profiler import Profiler
 from repro.cluster.topology import ClusterTopology
-from repro.config import ClusterConfig, MoEModelConfig
+from repro.config import ClusterConfig, MoEModelConfig, WorkloadConfig
 from repro.core.cost_model import MemoizedStepCost, MoECostModel
 from repro.core.delta import DeltaStepCost
+from repro.core.migration import MigrationPlanner
 from repro.core.placement import Placement
+from repro.core.policy import PolicyMaker
 from repro.core.primitives import Migrate
 from repro.exceptions import RoutingError, SchedulingError
+from repro.workload.synthetic import DriftingRoutingGenerator
 
 MODEL = MoEModelConfig("delta", num_layers=2, d_model=256, d_ffn=1024, num_experts=8)
 CLUSTER = ClusterConfig(num_nodes=2, gpus_per_node=4)
@@ -100,6 +103,36 @@ class TestPairSweep:
                 trial.remove_vexpert(e1, int(gpu))
                 trial.add_vexpert(e0, int(gpu))
                 assert times[i] == pytest.approx(
+                    memo.step_time(assignment, trial), rel=RTOL
+                )
+            assert delta.fallbacks == 0
+
+    def test_membership_preserving_and_changing_candidates(self, rng):
+        """One sweep whose GPUs cover every mix: the expand expert already
+        held or not, and the shrink expert's last copy or one of two."""
+        counts = np.zeros((8, 8), dtype=np.int64)
+        counts[0, [0, 5]] = 1
+        counts[1, [0, 1, 2, 5]] = (2, 1, 2, 1)
+        for expert, gpus in {
+            2: (3, 4), 3: (6, 7), 4: (1,), 5: (3,), 6: (4,), 7: (6, 7)
+        }.items():
+            counts[expert, list(gpus)] = 1
+        placement = Placement(counts, 4)
+        # gpu 0 keeps both groups, 1 changes both, 2 changes only the
+        # expand expert's, 5 changes only the shrink expert's.
+        gpus = np.array([0, 1, 2, 5])
+        for noise in (0.0, 0.02):
+            cost_model = build_cost_model(noise=noise)
+            memo = MemoizedStepCost(cost_model)
+            delta = DeltaStepCost(cost_model, audit=True)
+            assignment = rng.integers(1000, 30_000, (8, 8))
+            delta.rebase(assignment, placement)
+            times = delta.pair_candidate_times(placement, 0, 1, gpus)
+            for time, gpu in zip(times, gpus):
+                trial = placement.copy()
+                trial.remove_vexpert(1, int(gpu))
+                trial.add_vexpert(0, int(gpu))
+                assert time == pytest.approx(
                     memo.step_time(assignment, trial), rel=RTOL
                 )
             assert delta.fallbacks == 0
@@ -185,6 +218,58 @@ class TestTrialTime:
             with pytest.raises(SchedulingError):
                 # Claiming only e0 changed hides e1's mutation.
                 delta.trial_time(trial, (e0,))
+
+
+class TestProbeOrder:
+    """Skipped and memoized pricing never reorders the noise stream."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bps_cache_matches_reference(self, seed):
+        # 16 GPUs x 16 experts: enough distinct groups that one candidate
+        # often meets two unprofiled groups, so a swapped probe order
+        # would show up as swapped noise draws.
+        model = MoEModelConfig(
+            "probe", num_layers=2, d_model=256, d_ffn=1024, num_experts=16
+        )
+        topology = ClusterTopology(ClusterConfig(num_nodes=4, gpus_per_node=4))
+        trace = DriftingRoutingGenerator(
+            16,
+            16,
+            WorkloadConfig(
+                tokens_per_step=16_384 * 16, num_steps=4, skew=1.3, seed=seed
+            ),
+        ).generate()
+        caches, decisions = [], []
+        for use_delta in (True, False):
+            profile = Profiler(topology, noise=0.02, seed=seed).profile(model)
+            cost_model = MoECostModel(profile, model)
+            policy = PolicyMaker(cost_model, use_delta=use_delta)
+            migration = MigrationPlanner(
+                cost_model,
+                topology,
+                use_delta=use_delta,
+                memo=policy.memo,
+                delta=policy.delta if use_delta else None,
+            )
+            placement = Placement.balanced(16, 16, 3)
+            log = []
+            for step in range(trace.num_steps):
+                assignment = trace.step(step)
+                plan = policy.make_plan(assignment, placement)
+                for action in plan.actions:
+                    action.apply(placement)
+                moves = migration.plan(assignment, placement)
+                for move in moves:
+                    move.apply(placement)
+                log.append((plan.actions, tuple(moves)))
+            decisions.append(log)
+            caches.append(
+                [(key, bps.hex()) for key, bps in profile._bps_cache.items()]
+            )
+        assert decisions[0] == decisions[1]
+        assert any(actions or moves for actions, moves in decisions[0])
+        assert len(caches[0]) > 100
+        assert caches[0] == caches[1]
 
 
 class TestFallbacks:

@@ -17,6 +17,8 @@ query of the implicit three-class representation must agree with the
 explicit dense matrix it replaces.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -263,10 +265,32 @@ class TestBandwidthModelEquivalence:
             rtol=1e-12,
         )
 
-    def test_min_offdiag_matches(self, blocked, dense):
+    def test_ring_links_match(self):
+        """The ring cost's node arithmetic on the blocked fabric equals
+        the off-diagonal matrix minimum of the same fabric wrapped dense
+        (unit NIC scales force the dense wrap)."""
+        config = ClusterConfig(
+            num_nodes=3, gpus_per_node=4,
+            intra_node_bandwidth=150e9, inter_node_bandwidth=25e9,
+        )
+        blocked = ClusterTopology(config)
+        dense = ClusterTopology(
+            dataclasses.replace(config, bandwidth_scales=(1.0,) * 12)
+        )
+        assert blocked.bandwidth_model().is_blocked
+        assert not dense.bandwidth_model().is_blocked
         rng = np.random.default_rng(2)
-        for size in (2, 3, 6):
-            group = rng.choice(blocked.num_gpus, size=size, replace=False)
-            assert blocked.min_offdiag(group) == dense.min_offdiag(group)
-        # Repeated devices contribute a local-speed "pair".
-        assert blocked.min_offdiag([1, 1]) == dense.min_offdiag([1, 1])
+        for size in (2, 3, 6, 12):
+            for _ in range(5):
+                group = sorted(
+                    int(g) for g in rng.choice(12, size=size, replace=False)
+                )
+                assert blocked.ring_links(group) == dense.ring_links(group)
+        # Intra-only, inter-only and mixed rings.
+        assert blocked.ring_links([0, 1]) == (150e9, config.intra_node_latency)
+        assert blocked.ring_links([0, 4, 8]) == (
+            25e9, config.inter_node_latency
+        )
+        assert blocked.ring_links([0, 1, 4]) == (
+            25e9, config.inter_node_latency
+        )
