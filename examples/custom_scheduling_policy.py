@@ -51,8 +51,8 @@ class WaterFillingPolicy(PolicyMaker):
         shrink = Shrink(expert=e1, gpu=gpu)
         trial = placement.copy()
         shrink.apply(trial)
-        source = self._expand_source(trial, e0, gpu)
-        expand = Expand(expert=e0, gpu=gpu, source_gpu=source)
+        sources, _ = self._expand_sources_batch(trial, e0, np.array([gpu]))
+        expand = Expand(expert=e0, gpu=gpu, source_gpu=int(sources[0]))
         expand.apply(trial)
         routes = self._router.route_fractional(assignment, trial)
         t1 = self._cost_model.step_time(routes, trial)
@@ -69,12 +69,13 @@ class WaterFillingFlexMoE(FlexMoESystem):
 
     def _build(self) -> None:
         super()._build()
-        policy = WaterFillingPolicy(self._cost_model)
-        # Rebuild the scheduler around the custom policy.
+        layer = self._layer
+        policy = WaterFillingPolicy(layer.cost_model)
+        # Rebuild the layer's scheduler around the custom policy.
         from repro.core.scheduler import Scheduler
 
-        self._scheduler = Scheduler(
-            self._target, policy, self._scheduler_config, self._ctx.topology
+        layer._scheduler = Scheduler(
+            layer.target_placement, policy, layer.config, self._ctx.topology
         )
 
 

@@ -18,7 +18,6 @@ from repro.bench.harness import (
 from repro.bench.perf import (
     faults_overhead_benchmark,
     perf_suite,
-    pipeline_overhead_benchmark,
     planner_benchmark,
     write_report,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "format_series",
     "format_table",
     "perf_suite",
-    "pipeline_overhead_benchmark",
     "planner_benchmark",
     "quick_comparison",
     "scalability_sweep",

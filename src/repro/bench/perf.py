@@ -6,34 +6,32 @@ trajectory in a machine-readable report (``BENCH_step_overhead.json``).
 Benchmark families:
 
 * :func:`planner_benchmark` — planner rounds/second of the delta-cost
-  search (:class:`~repro.core.delta.DeltaStepCost`) against the retained
-  full-recompute reference evaluator, on one drifting single-layer
-  scenario.  Both searches run the Policy Maker *and* the Migrate planner
-  and must produce identical action sequences — a mismatch marks the run
-  failed.  A separate untimed pass records the replay's allocation
-  footprint (tracemalloc peak, retained blocks per step, peak RSS) so
-  per-step allocation storms regress visibly in the report.
-* :func:`pipeline_overhead_benchmark` — end-to-end simulated steps/second
-  of the multi-layer pipelined engine with delta evaluation on vs off
-  (identical seeds, identical simulated results required).
-* :func:`faults_overhead_benchmark` — the same toggle on the elastic
-  failure/straggler scenario (FlexMoE vs Static under a seeded event
-  schedule).
+  search (:class:`~repro.core.delta.DeltaStepCost`) on one drifting
+  single-layer scenario, wired as the Scheduler wires it: the Policy
+  Maker and the Migrate planner share one evaluator.  A separate untimed
+  pass records the replay's allocation footprint (tracemalloc peak,
+  retained blocks per step, peak RSS) so per-step allocation storms
+  regress visibly in the report.
+* :func:`faults_overhead_benchmark` — simulated steps/second of the
+  elastic failure/straggler scenario (FlexMoE vs Static under a seeded
+  event schedule), with its scheduling actions and delta fallbacks.
 * :func:`telemetry_overhead_benchmark` — the telemetry layer's cost on
   the identical pipeline run: telemetry disabled (the shipped default)
   vs fully enabled (session with metrics + tracing + timeline).  Both
   runs must produce identical simulated results -- observation must
-  never change a decision -- and the enabled run must record.
+  never change a decision -- and the enabled run must record.  The
+  disabled runs also report the 4-layer engine's delta fallbacks.
 * :func:`serving_events_benchmark` and :func:`kernel_events_benchmark`
   — serving and pure-kernel event throughput against absolute floors.
 
 :func:`perf_suite` composes them; its ``ok`` verdict requires every delta
-evaluator to report **zero fallbacks** to full recomputation, every
-decision/simulation equivalence to hold, both event benchmarks to clear
-their floors, and the telemetry on/off identity.  CI runs
-``python -m repro perf --smoke`` and fails on a false verdict, so
+evaluator to report **zero fallbacks** to full recomputation, both event
+benchmarks to clear their floors, and the telemetry on/off identity.
+CI runs ``python -m repro perf --smoke`` and fails on a false verdict, so
 neither the delta hot path, the event machinery, nor the telemetry taps
-can silently regress.
+can silently regress.  Decision identity of the delta search with the
+copy-per-candidate search it replaced is a tier-1 test
+(``tests/test_policy_delta_equivalence.py``), not a timed leg.
 """
 
 from __future__ import annotations
@@ -52,12 +50,10 @@ from repro.cluster.profiler import Profiler
 from repro.cluster.topology import ClusterTopology
 from repro.config import (
     MoEModelConfig,
-    SchedulerConfig,
     WorkloadConfig,
     auto_slots_per_gpu,
 )
 from repro.core.cost_model import MoECostModel
-from repro.core.migration import MigrationPlanner
 from repro.core.placement import Placement
 from repro.core.policy import PolicyMaker
 from repro.workload.synthetic import (
@@ -74,45 +70,6 @@ REPORT_FILENAME = "BENCH_step_overhead.json"
 #: per-event allocation storms), not machine jitter.
 SERVING_EVENTS_PER_SEC_FLOOR = 2_000.0
 KERNEL_EVENTS_PER_SEC_FLOOR = 30_000.0
-
-
-def _planner_pass(
-    cost_model: MoECostModel,
-    topology: ClusterTopology,
-    trace,
-    slots: int,
-    use_delta: bool,
-) -> tuple[float, list, PolicyMaker, MigrationPlanner]:
-    """One full planner replay: make_plan + Migrate pass every step.
-
-    Returns (seconds, decision log, policy, migration planner).  Decisions
-    are applied so the placement evolves exactly as a live scheduler's
-    would; with matching decision logs the delta and reference passes do
-    identical scheduling work.
-    """
-    num_experts = cost_model.model.num_experts
-    policy = PolicyMaker(cost_model, use_delta=use_delta)
-    # Sharing the policy's memo lets the Migrate pass's per-move baseline
-    # (which re-prices the exact configuration the policy just scored)
-    # hit the cache instead of re-routing from scratch -- mirroring the
-    # Scheduler's own wiring.
-    migration = MigrationPlanner(
-        cost_model, topology, use_delta=use_delta, memo=policy.memo
-    )
-    placement = Placement.balanced(num_experts, topology.num_gpus, slots)
-    decisions: list = []
-    start = time.perf_counter()
-    for step in range(trace.num_steps):
-        assignment = trace.step(step)
-        decision = policy.make_plan(assignment, placement)
-        for action in decision.actions:
-            action.apply(placement)
-        moves = migration.plan(assignment, placement)
-        for move in moves:
-            move.apply(placement)
-        decisions.append((decision.actions, tuple(moves)))
-    elapsed = time.perf_counter() - start
-    return elapsed, decisions, policy, migration
 
 
 def _allocation_footprint(
@@ -145,11 +102,13 @@ def _allocation_footprint(
     import resource
     import tracemalloc
 
+    from repro.bench.scale import _planner_replay
+
     gc.collect()
     blocks_before = sys.getallocatedblocks()
     tracemalloc.start()
     try:
-        _planner_pass(cost_model, topology, trace, slots, use_delta=True)
+        _planner_replay(cost_model, topology, trace, slots, "flat")
         current, peak = tracemalloc.get_traced_memory()
         live_blocks = sum(
             stat.count
@@ -178,13 +137,16 @@ def planner_benchmark(
     skew: float = 1.3,
     seed: int = 0,
 ) -> dict[str, object]:
-    """Planner rounds/sec: delta-cost search vs the reference evaluator.
+    """Planner rounds/sec of the delta-cost search.
 
     One planner round = one Policy Maker ``make_plan`` plus one Migrate
-    ``plan`` on the same assignment.  Both passes replay the identical
-    drifting trace from the identical initial placement against the same
-    noisy profile, and their decision logs must match exactly.
+    ``plan`` on the same assignment, replayed by the flat-search
+    :func:`~repro.bench.scale._planner_replay` (the planners share one
+    :class:`~repro.core.delta.DeltaStepCost`, as in the Scheduler).
     """
+    # Imported here: repro.bench.scale imports this module at load time.
+    from repro.bench.scale import _planner_replay
+
     model = MoEModelConfig(
         name=f"perf-{num_experts}e",
         num_layers=2,
@@ -208,19 +170,12 @@ def planner_benchmark(
     slots = auto_slots_per_gpu(num_experts, num_gpus)
     rounds = 2 * trace.num_steps  # policy round + migrate round per step
 
-    # Untimed warm-up replay: both timed passes visit the same replica
-    # groups (their decisions are identical), so pre-populating the
-    # profile's lazy AllReduce cache keeps first-probe costs out of the
-    # timings — whichever pass runs first would otherwise pay them all.
-    _planner_pass(cost_model, topology, trace, slots, use_delta=True)
-
-    ref_s, ref_decisions, ref_policy, _ = _planner_pass(
-        cost_model, topology, trace, slots, use_delta=False
+    # Untimed warm-up replay: pre-populating the profile's lazy AllReduce
+    # cache keeps first-probe costs out of the timed pass.
+    _planner_replay(cost_model, topology, trace, slots, "flat")
+    delta_s, _, _, delta = _planner_replay(
+        cost_model, topology, trace, slots, "flat"
     )
-    delta_s, delta_decisions, policy, migration = _planner_pass(
-        cost_model, topology, trace, slots, use_delta=True
-    )
-    fallbacks = policy.delta.fallbacks + migration.delta.fallbacks
     allocation = _allocation_footprint(cost_model, topology, trace, slots)
     return {
         "num_experts": num_experts,
@@ -228,80 +183,10 @@ def planner_benchmark(
         "num_steps": num_steps,
         "rounds": rounds,
         "allocation": allocation,
-        "reference_seconds": ref_s,
         "delta_seconds": delta_s,
-        "reference_rounds_per_sec": rounds / ref_s if ref_s > 0 else 0.0,
         "delta_rounds_per_sec": rounds / delta_s if delta_s > 0 else 0.0,
-        "speedup": ref_s / delta_s if delta_s > 0 else float("inf"),
-        "decisions_match": ref_decisions == delta_decisions,
-        "delta": {**policy.delta.stats(), **{
-            f"migration_{k}": v for k, v in migration.delta.stats().items()
-        }},
-        "fallbacks": float(fallbacks),
-        "memo": ref_policy.memo.stats(),
-    }
-
-
-def pipeline_overhead_benchmark(
-    num_moe_layers: int = 4,
-    num_gpus: int = 16,
-    num_experts: int = 32,
-    num_steps: int = 30,
-    tokens_per_gpu: int = 32_768,
-    seed: int = 0,
-) -> dict[str, object]:
-    """End-to-end simulated steps/sec of the multi-layer engine,
-    delta evaluation on vs off (identical seeds and simulated results)."""
-    from repro.runtime.pipeline import build_engine
-    from repro.training.loop import simulate_pipeline
-
-    model = MoEModelConfig(
-        name=f"perf-pipeline-{num_moe_layers}L",
-        num_layers=2 * num_moe_layers,
-        d_model=2048,
-        d_ffn=8192,
-        num_experts=num_experts,
-    )
-    trace = make_multilayer_trace(
-        num_moe_layers,
-        num_experts,
-        num_gpus,
-        WorkloadConfig(
-            tokens_per_step=tokens_per_gpu * num_gpus,
-            num_steps=num_steps,
-            seed=seed,
-        ),
-    )
-
-    def run(delta: bool) -> tuple[float, float, float]:
-        engine = build_engine(
-            cluster_for(num_gpus),
-            model,
-            num_moe_layers=num_moe_layers,
-            scheduler_config=SchedulerConfig(delta_evaluation=delta),
-            seed=seed,
-        )
-        start = time.perf_counter()
-        result = simulate_pipeline(engine, trace, warmup=min(5, num_steps - 1))
-        elapsed = time.perf_counter() - start
-        return elapsed, result.mean_step_time, float(engine.delta_fallbacks())
-
-    ref_s, ref_sim, _ = run(False)
-    delta_s, delta_sim, fallbacks = run(True)
-    return {
-        "num_moe_layers": num_moe_layers,
-        "num_gpus": num_gpus,
-        "num_experts": num_experts,
-        "num_steps": num_steps,
-        "reference_seconds": ref_s,
-        "delta_seconds": delta_s,
-        "reference_steps_per_sec": num_steps / ref_s if ref_s > 0 else 0.0,
-        "delta_steps_per_sec": num_steps / delta_s if delta_s > 0 else 0.0,
-        "speedup": ref_s / delta_s if delta_s > 0 else float("inf"),
-        "simulated_results_match": bool(np.isclose(
-            ref_sim, delta_sim, rtol=1e-12, atol=0.0
-        )),
-        "fallbacks": fallbacks,
+        "delta": delta.stats(),
+        "fallbacks": float(delta.fallbacks),
     }
 
 
@@ -312,46 +197,27 @@ def faults_overhead_benchmark(
     num_steps: int = 40,
     seed: int = 0,
 ) -> dict[str, object]:
-    """The faults scenario (failure + straggler, FlexMoE vs Static) with
-    delta evaluation on vs off."""
-
-    def run(delta: bool) -> tuple[float, float, float, float]:
-        start = time.perf_counter()
-        result = faults_run(
-            num_moe_layers=num_moe_layers,
-            num_gpus=num_gpus,
-            num_experts=num_experts,
-            num_steps=num_steps,
-            seed=seed,
-            delta_evaluation=delta,
-        )
-        elapsed = time.perf_counter() - start
-        summary = result.summary()
-        return (
-            elapsed,
-            float(summary["flexmoe"]["final"]),
-            float(summary["flexmoe_actions"]),
-            float(result.delta_fallbacks),
-        )
-
-    ref_s, ref_final, ref_actions, _ = run(False)
-    delta_s, delta_final, delta_actions, fallbacks = run(True)
+    """Simulated steps/sec of the faults scenario (failure + straggler,
+    FlexMoE vs Static), with its scheduling actions and delta fallbacks."""
+    start = time.perf_counter()
+    result = faults_run(
+        num_moe_layers=num_moe_layers,
+        num_gpus=num_gpus,
+        num_experts=num_experts,
+        num_steps=num_steps,
+        seed=seed,
+    )
+    elapsed = time.perf_counter() - start
     steps = 2 * num_steps  # the scenario simulates FlexMoE + Static runs
     return {
         "num_moe_layers": num_moe_layers,
         "num_gpus": num_gpus,
         "num_experts": num_experts,
         "num_steps": num_steps,
-        "reference_seconds": ref_s,
-        "delta_seconds": delta_s,
-        "reference_steps_per_sec": steps / ref_s if ref_s > 0 else 0.0,
-        "delta_steps_per_sec": steps / delta_s if delta_s > 0 else 0.0,
-        "speedup": ref_s / delta_s if delta_s > 0 else float("inf"),
-        "simulated_results_match": bool(np.isclose(
-            ref_final, delta_final, rtol=1e-12, atol=0.0
-        )) and ref_actions == delta_actions,
-        "flexmoe_actions": delta_actions,
-        "fallbacks": fallbacks,
+        "seconds": elapsed,
+        "steps_per_sec": steps / elapsed if elapsed > 0 else 0.0,
+        "flexmoe_actions": float(result.summary()["flexmoe_actions"]),
+        "fallbacks": float(result.delta_fallbacks),
     }
 
 
@@ -395,9 +261,10 @@ def telemetry_overhead_benchmark(
     (observation must never change a decision); the enabled pass
     additionally has to actually record something (trace events and
     timeline entries), so a silently dead tap cannot masquerade as zero
-    overhead.  Each repeat runs the pair back to back, in alternating
-    order (a fixed order would turn monotonic machine drift into
-    phantom overhead on the always-later pass), and
+    overhead.  ``fallbacks`` sums the engine's delta fallbacks over the
+    timed disabled passes.  Each repeat runs the pair back to back, in
+    alternating order (a fixed order would turn monotonic machine drift
+    into phantom overhead on the always-later pass), and
     ``enabled_overhead_pct`` is the median of the per-repeat paired
     enabled/disabled ratios.
     """
@@ -423,7 +290,7 @@ def telemetry_overhead_benchmark(
         ),
     )
 
-    def one_pass() -> tuple[float, float]:
+    def one_pass() -> tuple[float, float, int]:
         engine = build_engine(
             cluster_for(num_gpus), model,
             num_moe_layers=num_moe_layers, seed=seed,
@@ -434,26 +301,26 @@ def telemetry_overhead_benchmark(
                 engine, trace, warmup=min(5, num_steps - 1)
             )
             elapsed = time.perf_counter() - start
-        return elapsed, result.mean_step_time
+        return elapsed, result.mean_step_time, engine.delta_fallbacks()
 
     def enabled_pass() -> tuple[float, float, int, int]:
         with telemetry.session(reuse=False) as tel:
-            elapsed, sim = one_pass()
+            elapsed, sim, _ = one_pass()
             trace_events = len(tel.tracer.events) if tel.tracer else 0
             return elapsed, sim, trace_events, len(tel.timeline)
 
-    def disabled_pass() -> tuple[float, float]:
+    def disabled_pass() -> tuple[float, float, int]:
         with telemetry.suppressed():
             return one_pass()
 
     disabled_s = enabled_s = float("inf")
     disabled_sim = enabled_sim = 0.0
-    trace_events = timeline_events = 0
+    trace_events = timeline_events = fallbacks = 0
     ratios = []
     disabled_pass()  # untimed warm-up (lazy caches, code paths)
     for repeat in range(max(repeats, 1)):
         if repeat % 2 == 0:
-            disabled_i, disabled_sim = disabled_pass()
+            disabled_i, disabled_sim, fallbacks_i = disabled_pass()
             enabled_i, enabled_sim, trace_events, timeline_events = (
                 enabled_pass()
             )
@@ -461,7 +328,8 @@ def telemetry_overhead_benchmark(
             enabled_i, enabled_sim, trace_events, timeline_events = (
                 enabled_pass()
             )
-            disabled_i, disabled_sim = disabled_pass()
+            disabled_i, disabled_sim, fallbacks_i = disabled_pass()
+        fallbacks += fallbacks_i
         disabled_s = min(disabled_s, disabled_i)
         enabled_s = min(enabled_s, enabled_i)
         if disabled_i > 0:
@@ -487,6 +355,7 @@ def telemetry_overhead_benchmark(
         ),
         "enabled_trace_events": trace_events,
         "enabled_timeline_events": timeline_events,
+        "fallbacks": float(fallbacks),
     }
 
 
@@ -714,18 +583,14 @@ def perf_suite(smoke: bool = False, seed: int = 0) -> dict[str, object]:
 
     ``smoke`` shrinks every scenario to CI scale (seconds, not minutes)
     without changing the structure.  The ``ok`` verdict requires zero
-    delta fallbacks and full decision/simulation equivalence; CI gates on
-    it.  Speedups are recorded for the perf trajectory, not gated here —
-    the acceptance thresholds live in ``benchmarks/bench_planner_delta.py``
-    where timing noise is controlled.
+    delta fallbacks on the planner, the 4-layer pipeline (telemetry leg)
+    and the faults scenario, a planner evaluator that actually scored
+    candidates, both event floors and the telemetry identity; CI gates on
+    it.  Throughputs are recorded for the perf trajectory, not gated.
     """
     if smoke:
         planner = planner_benchmark(
             num_experts=32, num_gpus=8, num_steps=12, seed=seed
-        )
-        pipeline = pipeline_overhead_benchmark(
-            num_moe_layers=2, num_gpus=8, num_experts=16, num_steps=12,
-            seed=seed,
         )
         faults = faults_overhead_benchmark(
             num_moe_layers=2, num_gpus=8, num_experts=16, num_steps=25,
@@ -742,29 +607,23 @@ def perf_suite(smoke: bool = False, seed: int = 0) -> dict[str, object]:
         )
     else:
         planner = planner_benchmark(seed=seed)
-        pipeline = pipeline_overhead_benchmark(seed=seed)
         faults = faults_overhead_benchmark(seed=seed)
         serving_events = serving_events_benchmark(seed=seed)
         kernel_events = kernel_events_benchmark(seed=seed)
         telemetry_overhead = telemetry_overhead_benchmark(seed=seed)
     fallbacks = (
         float(planner["fallbacks"])
-        + float(pipeline["fallbacks"])
+        + float(telemetry_overhead["fallbacks"])
         + float(faults["fallbacks"])
     )
-    memo_hit_rate = float(planner["memo"]["hit_rate"])
-    metrics = _memo_metrics_snapshot(planner["memo"])
+    metrics = _delta_metrics_snapshot(planner["delta"])
     ok = (
-        bool(planner["decisions_match"])
-        and bool(pipeline["simulated_results_match"])
-        and bool(faults["simulated_results_match"])
-        and fallbacks == 0.0
-        # Hot-path gates: the memo must actually hit on the planner path
-        # (and reach the report's metrics snapshot), both event
-        # benchmarks must clear their floors, and the kernel must
-        # dispatch in key order.
-        and memo_hit_rate > 0.0
-        and bool(metrics["counters"])
+        fallbacks == 0.0
+        # Hot-path gates: the planner's evaluator must actually score
+        # candidates (read back through the report's metrics snapshot),
+        # both event benchmarks must clear their floors, and the kernel
+        # must dispatch in key order.
+        and float(metrics["counters"].get("delta.evaluations", 0.0)) > 0.0
         and bool(kernel_events["trace_ordered"])
         and float(serving_events["events_per_sec"])
         >= SERVING_EVENTS_PER_SEC_FLOOR
@@ -781,38 +640,31 @@ def perf_suite(smoke: bool = False, seed: int = 0) -> dict[str, object]:
         "smoke": smoke,
         "seed": seed,
         "planner": planner,
-        "pipeline": pipeline,
         "faults": faults,
         "serving_events": serving_events,
         "kernel_events": kernel_events,
         "telemetry_overhead": telemetry_overhead,
         "telemetry": {"metrics": metrics},
-        "memo_hit_rate": memo_hit_rate,
         "total_fallbacks": fallbacks,
         "ok": ok,
     }
 
 
-def _memo_metrics_snapshot(memo_stats: dict) -> dict[str, object]:
-    """Re-publish the planner pass's memo accounting through a
+def _delta_metrics_snapshot(delta_stats: dict) -> dict[str, object]:
+    """Re-publish the planner pass's delta-evaluator counters through a
     standalone :class:`~repro.telemetry.registry.MetricsRegistry`.
 
     The timed benchmarks deliberately run with telemetry suppressed (so
     timings measure the subsystems, not the observer); the report still
     carries a registry-shaped snapshot so consumers — ``python -m repro
-    perf`` included — read hit rates from the one telemetry schema
+    perf`` included — read the counters from the one telemetry schema
     instead of reaching into bench internals.
     """
     from repro.telemetry import MetricsRegistry
 
     registry = MetricsRegistry()
-    for phase, item in sorted(dict(memo_stats["phases"]).items()):
-        registry.counter("memo.hits", phase=phase).inc(int(item["hits"]))
-        registry.counter("memo.misses", phase=phase).inc(
-            int(item["misses"])
-        )
-    registry.gauge("memo.entries").set(float(memo_stats["entries"]))
-    registry.gauge("memo.hit_rate").set(float(memo_stats["hit_rate"]))
+    for name, value in sorted(delta_stats.items()):
+        registry.counter(f"delta.{name}").inc(int(value))
     return registry.snapshot()
 
 

@@ -60,6 +60,7 @@ from repro.config import (
     auto_slots_per_gpu,
 )
 from repro.core.cost_model import MoECostModel
+from repro.core.delta import DeltaStepCost
 from repro.core.migration import MigrationPlanner
 from repro.core.placement import Placement
 from repro.core.policy import PolicyMaker
@@ -127,26 +128,25 @@ def _planner_replay(
     trace,
     slots: int,
     placement_search: str,
-) -> tuple[float, list, float, int]:
+) -> tuple[float, list, float, DeltaStepCost]:
     """One full planner replay in the given search mode.
 
-    Returns ``(seconds, decision log, final estimated step time,
-    fallbacks)``.  Decisions are applied so the placement evolves exactly
-    as a live scheduler's would; the final estimate is what the quality
-    gate compares across modes.
+    Returns ``(seconds, decision log, final estimated step time, delta
+    evaluator)``.  The Policy Maker and the Migrate planner share the one
+    :class:`~repro.core.delta.DeltaStepCost`, as the Scheduler wires them,
+    so its counters cover both passes.  Decisions are applied so the
+    placement evolves exactly as a live scheduler's would; the final
+    estimate is what the quality gate compares across modes.
     """
     num_experts = cost_model.model.num_experts
     policy = PolicyMaker(
         cost_model,
-        use_delta=True,
         topology=topology,
         placement_search=placement_search,
     )
     migration = MigrationPlanner(
         cost_model,
         topology,
-        use_delta=True,
-        memo=policy.memo,
         placement_search=placement_search,
         delta=policy.delta,
     )
@@ -164,16 +164,13 @@ def _planner_replay(
         decisions.append((decision.actions, tuple(moves)))
     elapsed = time.perf_counter() - start
     # Price the final configuration through the delta evaluator's O(E*G)
-    # rebase — the reference estimate_step_time solves the full router's
+    # rebase — PolicyMaker.estimate_step_time solves the full router's
     # fractional relaxation, which is exactly the O(cluster^2) work this
     # sweep exists to avoid.
     final_time = policy.delta.rebase(
         trace.step(trace.num_steps - 1), placement
     )
-    # The planners share one evaluator (see MigrationPlanner's ``delta``),
-    # so its counter already covers both passes.
-    fallbacks = policy.delta.fallbacks
-    return elapsed, decisions, float(final_time), int(fallbacks)
+    return elapsed, decisions, float(final_time), policy.delta
 
 
 def planner_scale_benchmark(
@@ -226,7 +223,9 @@ def planner_scale_benchmark(
     hier_s = statistics.median([run[0] for run in runs["hierarchical"]])
     _, flat_log, flat_time, _ = runs["flat"][0]
     _, hier_log, hier_time, _ = runs["hierarchical"][0]
-    fallbacks = sum(run[3] for replays in runs.values() for run in replays)
+    fallbacks = sum(
+        run[3].fallbacks for replays in runs.values() for run in replays
+    )
     quality_ratio = hier_time / flat_time if flat_time > 0 else float("inf")
     return {
         "num_gpus": num_gpus,

@@ -442,18 +442,12 @@ class SchedulerConfig:
             vExpert); elastic runs use 2 so a single device failure never
             destroys an expert's only copy of its model states —
             replication headroom doubles as fault tolerance.
-        delta_evaluation: Score what-if candidates incrementally through
-            :class:`~repro.core.delta.DeltaStepCost` (default). ``False``
-            restores the full-recompute reference evaluator in both the
-            Policy Maker and the Migrate planner — the audited baseline
-            ``python -m repro perf`` benchmarks the delta path against.
         placement_search: ``"auto"`` (default — flat at or below
             :data:`HIERARCHICAL_AUTO_THRESHOLD` devices, hierarchical
             above), ``"flat"`` (every candidate scored in one sweep) or
             ``"hierarchical"`` (two-level: candidates in the hot expert's
             node group first, cross-node escalation only when no
-            intra-node candidate beats the trigger threshold). The
-            hierarchical search requires ``delta_evaluation``.
+            intra-node candidate beats the trigger threshold).
     """
 
     balance_threshold: float = 1.15
@@ -467,7 +461,6 @@ class SchedulerConfig:
     slots_per_gpu: int | None = None
     speed_aware_balance: bool = False
     min_replicas: int = 1
-    delta_evaluation: bool = True
     placement_search: str = "auto"
 
     def __post_init__(self) -> None:

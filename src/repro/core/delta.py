@@ -31,14 +31,16 @@ searchers:
   custom planners, driven through
   :meth:`~repro.core.placement.Placement.trial`.
 
-The evaluator matches :class:`~repro.core.cost_model.MemoizedStepCost` (the
-retained, audited reference path) to float tolerance; the equivalence suite
-in ``tests/test_delta_cost.py`` and ``tests/test_policy_delta_equivalence.py``
-asserts both the times and the resulting scheduling decisions.  Lazily
-profiled AllReduce groups are probed in the same first-seen order as
+The evaluator matches the full evaluator
+(:class:`~repro.core.cost_model.MemoizedStepCost`) to float tolerance
+(``tests/test_delta_cost.py``), and the searches built on it propose
+exactly the decisions of the copy-per-candidate search over the full
+evaluator, which is kept test-side (``tests/search_oracle.py``,
+``tests/test_policy_delta_equivalence.py``).  Lazily profiled AllReduce
+groups are probed in the same first-seen order as
 :meth:`~repro.core.cost_model.MoECostModel.sync_times` (ascending expert,
 candidates in enumeration order), so noisy profiles stay bit-identical
-between the delta and reference paths.
+between the delta search and that oracle.
 
 If a query arrives against a configuration the cached base no longer
 matches (different placement object, or the device pool changed under an
@@ -171,7 +173,7 @@ class DeltaStepCost:
         Sync seconds are memoized per membership (the member ids' bytes:
         the group, at O(group) key size). A miss prices the group through
         the profile's lazy AllReduce cache, so first-seen probes keep the
-        reference path's order; a hit is a group the profile already
+        full evaluator's order; a hit is a group the profile already
         holds, so skipping the call draws no noise.
         """
         members = counts_row.nonzero()[0]
@@ -230,7 +232,7 @@ class DeltaStepCost:
         # those rows' deltas — O(changed experts * G) total, independent
         # of E.  Unchanged rows' sync groups are already in the profile's
         # BPS cache, so the lazy-probe order (ascending expert over
-        # changed rows) is identical to the reference path's full
+        # changed rows) is identical to the full evaluator's
         # ascending pass.
         prev_counts, prev_sync = self._counts, self._sync
         rows_cached = (
@@ -403,7 +405,7 @@ class DeltaStepCost:
             return self._sync[expert] if kept[i] else self._sync_row(row[i])
 
         for i in range(gpus.size):
-            # Ascending-expert probe order matches the reference
+            # Ascending-expert probe order matches the full
             # evaluator's sync_times pass on the same candidate.
             sync[i] = sync_base + sync_row(lo, i) + sync_row(hi, i)
         times = self._totals_to_time(tokens, a2a, sync)
@@ -434,7 +436,7 @@ class DeltaStepCost:
         Returns the modelled step time per candidate.  Replica groups that
         a candidate leaves unchanged reuse the base sync pricing; new
         groups are probed in candidate order, ascending expert within a
-        candidate — the same first-seen order as the reference evaluator.
+        candidate — the same first-seen order as the full evaluator.
         """
         pairs = np.asarray(pairs, dtype=np.int64)
         if pairs.size == 0:

@@ -34,12 +34,11 @@ from repro.config import (
     HIERARCHICAL_SCORE_TOP_K,
     resolve_placement_search,
 )
-from repro.core.cost_model import MemoizedStepCost, MoECostModel
+from repro.core.cost_model import MoECostModel
 from repro.core.delta import DeltaStepCost
 from repro.core.placement import Placement
 from repro.core.primitives import Expand, Migrate, PlacementAction, Shrink
-from repro.core.router import FlexibleTokenRouter
-from repro.exceptions import ElasticityError, PlacementError, SchedulingError
+from repro.exceptions import ElasticityError, SchedulingError
 
 
 class MigrationPlanner:
@@ -55,16 +54,6 @@ class MigrationPlanner:
         min_replicas: Distinct-device floor every expert must keep after a
             move (1 in the paper's setting; 2 in elastic runs so a single
             device failure never orphans an expert).
-        use_delta: Score candidate exchanges incrementally through
-            :class:`~repro.core.delta.DeltaStepCost` and the placement
-            trial journal (default). ``False`` restores the
-            copy-per-candidate full-recompute reference path.
-        memo: Optional shared :class:`MemoizedStepCost`. When provided,
-            reference-path evaluations (notably the per-pass baseline
-            ``step_time(assignment, placement)``, which re-prices the
-            exact configuration the Policy Maker just scored) go through
-            the shared cache under the ``"migration"`` phase instead of
-            re-routing and re-pricing from scratch.
         placement_search: ``"flat"`` (default — every source is paired
             with the globally least-loaded devices and scored in one
             sweep), ``"hierarchical"`` (each source is paired with the
@@ -72,13 +61,12 @@ class MigrationPlanner:
             cross-cluster sweep is expanded only when no intra-node
             candidate improves) or ``"auto"`` (hierarchical above
             :data:`~repro.config.HIERARCHICAL_AUTO_THRESHOLD` devices).
-            Hierarchical requires the delta path.
-        delta: Optional shared :class:`~repro.core.delta.DeltaStepCost`.
-            The Scheduler passes the Policy Maker's evaluator so the two
-            planners rebase the same per-round base once between them —
-            the migration pass then re-prices only the experts the
-            policy's actions touched. Ignored when ``use_delta`` is
-            ``False``.
+        delta: Optional shared :class:`~repro.core.delta.DeltaStepCost`
+            scoring every candidate exchange. The Scheduler passes the
+            Policy Maker's evaluator so the two planners rebase the same
+            per-round base once between them — the migration pass then
+            re-prices only the experts the policy's actions touched.
+            ``None`` builds a private one.
     """
 
     def __init__(
@@ -88,8 +76,6 @@ class MigrationPlanner:
         max_moves: int = 2,
         max_candidates: int = 6,
         min_replicas: int = 1,
-        use_delta: bool = True,
-        memo: MemoizedStepCost | None = None,
         placement_search: str = "flat",
         delta: DeltaStepCost | None = None,
     ) -> None:
@@ -104,19 +90,11 @@ class MigrationPlanner:
         self._max_moves = max_moves
         self._max_candidates = max_candidates
         self._min_replicas = min_replicas
-        self._use_delta = use_delta
-        if not use_delta:
-            self._delta = None
-        elif delta is not None:
-            self._delta = delta
-        else:
-            self._delta = DeltaStepCost(cost_model)
-        self._router = FlexibleTokenRouter()
-        self._memo = memo
+        self._delta = delta if delta is not None else DeltaStepCost(cost_model)
         resolved = resolve_placement_search(
             topology.num_gpus, placement_search
         )
-        self._hierarchical = resolved == "hierarchical" and use_delta
+        self._hierarchical = resolved == "hierarchical"
         self._gpus_per_node = topology.config.gpus_per_node
         # Coarse-to-fine scoring only pays off where exact scoring is
         # expensive; small fabrics keep pricing every candidate exactly.
@@ -126,23 +104,13 @@ class MigrationPlanner:
         )
 
     @property
-    def delta(self) -> DeltaStepCost | None:
-        """The incremental evaluator (``None`` on the reference path)."""
+    def delta(self) -> DeltaStepCost:
+        """The incremental evaluator scoring every candidate exchange."""
         return self._delta
-
-    @property
-    def uses_delta(self) -> bool:
-        return self._use_delta
 
     def total_sync_time(self, placement: Placement) -> float:
         """Sum of per-GPU sync seconds (diagnostic helper)."""
         return float(self._cost_model.sync_times(placement).sum())
-
-    def step_time(self, assignment: np.ndarray, placement: Placement) -> float:
-        if self._memo is not None:
-            return self._memo.step_time(assignment, placement, phase="migration")
-        routes = self._router.route_fractional(assignment, placement)
-        return self._cost_model.step_time(routes, placement)
 
     def plan(
         self, assignment: np.ndarray, placement: Placement
@@ -267,34 +235,6 @@ class MigrationPlanner:
         live = self._cost_model.live_mask()[lo : lo + per_node]
         order = np.argsort(gpu_loads[lo : lo + per_node])
         return [int(lo + g) for g in order if live[g] and lo + g != src][:2]
-
-    def _evaluate_exchange(
-        self, assignment: np.ndarray, placement: Placement, action: Migrate
-    ) -> float | None:
-        """Reference-path evaluation of one exchange: copy the placement,
-        apply, re-route everything. Returns ``None`` if the action is
-        invalid or would consolidate below the replication floor.
-
-        (The delta path never takes this road — it batch-scores every
-        exchange of a pass through
-        :meth:`DeltaStepCost.exchange_candidate_times`.)
-        """
-        candidate = placement.copy()
-        try:
-            action.apply(candidate)
-        except PlacementError:
-            return None
-        if self._below_floor(candidate, action):
-            return None
-        return self.step_time(assignment, candidate)
-
-    def _below_floor(self, placement: Placement, action: Migrate) -> bool:
-        """Whether the applied exchange consolidated either expert below
-        the distinct-device replication floor."""
-        return self._min_replicas > 1 and (
-            len(placement.gpus_of(action.expert_a)) < self._min_replicas
-            or len(placement.gpus_of(action.expert_b)) < self._min_replicas
-        )
 
     def _expand_exchanges(
         self,
@@ -441,94 +381,65 @@ class MigrationPlanner:
     def _best_move(
         self, assignment: np.ndarray, placement: Placement
     ) -> Migrate | None:
-        if self._delta is not None:
-            baseline = self._delta.rebase(assignment, placement)
-            per_replica = self._per_replica_loads(assignment, placement)
-            gpu_loads = self._weighted_gpu_loads(per_replica, placement)
-            sources = self._candidate_sources(
-                per_replica, placement, gpu_loads
-            )
-            intra: tuple[Migrate, float] | None = None
-            if self._hierarchical:
-                # Two-level sweep: every source tries the least-loaded
-                # devices of its own node first — intra-node exchanges
-                # consolidate sync groups without touching the inter-node
-                # fabric.  An intra-node candidate that clears the
-                # escalation margin ends the search; the cross-cluster
-                # sweep (the flat search's exact candidate set) is
-                # expanded only otherwise, with the intra-node best still
-                # in the running — escalation can never miss a move the
-                # flat sweep finds, nor drop a better local one.
-                intra = self._score_exchanges(
-                    placement,
-                    self._prune_by_proxy(
-                        placement,
-                        self._expand_exchanges(
-                            placement,
-                            [
-                                (
-                                    expert,
-                                    src,
-                                    self._node_targets(
-                                        placement, gpu_loads, expert, src
-                                    ),
-                                )
-                                for expert, src in sources
-                            ],
-                        ),
-                        per_replica,
-                        gpu_loads,
-                    ),
-                    baseline,
-                )
-                if intra is not None and (
-                    baseline - intra[1]
-                    >= HIERARCHICAL_ESCALATION_MARGIN * baseline
-                ):
-                    return intra[0]
-            targets = self._candidate_targets(gpu_loads)
-            best = self._score_exchanges(
+        baseline = self._delta.rebase(assignment, placement)
+        per_replica = self._per_replica_loads(assignment, placement)
+        gpu_loads = self._weighted_gpu_loads(per_replica, placement)
+        sources = self._candidate_sources(per_replica, placement, gpu_loads)
+        intra: tuple[Migrate, float] | None = None
+        if self._hierarchical:
+            # Two-level sweep: every source tries the least-loaded
+            # devices of its own node first — intra-node exchanges
+            # consolidate sync groups without touching the inter-node
+            # fabric.  An intra-node candidate that clears the
+            # escalation margin ends the search; the cross-cluster
+            # sweep (the flat search's exact candidate set) is
+            # expanded only otherwise, with the intra-node best still
+            # in the running — escalation can never miss a move the
+            # flat sweep finds, nor drop a better local one.
+            intra = self._score_exchanges(
                 placement,
                 self._prune_by_proxy(
                     placement,
                     self._expand_exchanges(
                         placement,
-                        [(expert, src, targets) for expert, src in sources],
+                        [
+                            (
+                                expert,
+                                src,
+                                self._node_targets(
+                                    placement, gpu_loads, expert, src
+                                ),
+                            )
+                            for expert, src in sources
+                        ],
                     ),
                     per_replica,
                     gpu_loads,
                 ),
-                intra[1] if intra is not None else baseline,
+                baseline,
             )
-            if best is not None:
-                return best[0]
-            return intra[0] if intra is not None else None
-        baseline = self.step_time(assignment, placement)
-        best_action = None
-        best_time = baseline
-        per_replica = self._per_replica_loads(assignment, placement)
-        gpu_loads = self._weighted_gpu_loads(per_replica, placement)
+            if intra is not None and (
+                baseline - intra[1]
+                >= HIERARCHICAL_ESCALATION_MARGIN * baseline
+            ):
+                return intra[0]
         targets = self._candidate_targets(gpu_loads)
-        for expert, src in self._candidate_sources(
-            per_replica, placement, gpu_loads
-        ):
-            for dst in targets:
-                if dst == src:
-                    continue
-                for partner in placement.experts_on(dst):
-                    if partner == expert:
-                        continue
-                    action = Migrate(
-                        expert_a=expert, gpu_a=src,
-                        expert_b=partner, gpu_b=dst,
-                    )
-                    time = self._evaluate_exchange(
-                        assignment, placement, action
-                    )
-                    if time is not None and time < best_time - 1e-12:
-                        best_time = time
-                        best_action = action
-        return best_action
+        best = self._score_exchanges(
+            placement,
+            self._prune_by_proxy(
+                placement,
+                self._expand_exchanges(
+                    placement,
+                    [(expert, src, targets) for expert, src in sources],
+                ),
+                per_replica,
+                gpu_loads,
+            ),
+            intra[1] if intra is not None else baseline,
+        )
+        if best is not None:
+            return best[0]
+        return intra[0] if intra is not None else None
 
 
 # ----------------------------------------------------------------------

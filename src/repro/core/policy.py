@@ -16,21 +16,14 @@ Because an expert may hold replicas on several GPUs, *which* replica of
 wins. The Expand's source replica is chosen for cheapest transfer (same GPU
 if packing, otherwise the highest-bandwidth peer).
 
-Two evaluation paths score the candidates:
-
-* the **delta path** (default) — a :class:`~repro.core.delta.DeltaStepCost`
-  caches the base configuration's per-expert route/cost contributions once
-  per call and batch-scores every shrink GPU of a pair in one vectorized
-  pass, so a candidate costs O(changed experts * D) instead of re-deriving
-  the full E x D configuration;
-* the **reference path** (``use_delta=False``) — the original
-  copy-per-candidate search over the memoized full evaluator, retained as
-  the audited specification the delta path is equivalence-tested and
-  benchmarked against (``python -m repro perf``).
-
-Both paths enumerate candidates in the same order and compare with the
-same strict inequalities, so they propose identical plans (asserted on
-seeded scenarios by ``tests/test_policy_delta_equivalence.py``).
+Candidates are scored by a :class:`~repro.core.delta.DeltaStepCost`, which
+caches the base configuration's per-expert route/cost contributions once
+per call and batch-scores every shrink GPU of a pair in one vectorized
+pass, so a candidate costs O(changed experts * D) instead of re-deriving
+the full E x D configuration. The copy-per-candidate search over the full
+evaluator it replaced is kept test-side (``tests/search_oracle.py``) as
+the specification the delta search must match decision for decision
+(``tests/test_policy_delta_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -46,7 +39,7 @@ from repro.core.delta import DeltaStepCost
 from repro.core.placement import Placement
 from repro.core.primitives import Expand, PlacementAction, Shrink
 from repro.core.router import FlexibleTokenRouter
-from repro.exceptions import PlacementError, SchedulingError
+from repro.exceptions import SchedulingError
 
 if TYPE_CHECKING:
     from repro.cluster.topology import ClusterTopology
@@ -79,18 +72,16 @@ class PolicyMaker:
             charges only a small amortized share.
         min_replicas: Replication floor preserved by Shrink proposals
             (see :attr:`repro.config.SchedulerConfig.min_replicas`).
-        use_delta: Score candidates incrementally through
-            :class:`~repro.core.delta.DeltaStepCost` (default). ``False``
-            restores the full-recompute reference path.
         topology: Cluster topology, required for the hierarchical search's
-            node partition. Optional — without it the search is flat.
+            node partition. Optional — without it ``"auto"`` stays flat
+            and ``"hierarchical"`` raises
+            :class:`~repro.exceptions.SchedulingError`.
         placement_search: ``"flat"`` (default — every shrink GPU of a pair
             scored in one sweep), ``"hierarchical"`` (score candidates in
             the hot expert's node group first, escalating to the cross-node
             remainder only when no intra-node candidate beats ``t0``), or
             ``"auto"`` (hierarchical above
             :data:`~repro.config.HIERARCHICAL_AUTO_THRESHOLD` devices).
-            Hierarchical needs ``topology`` and the delta path.
     """
 
     def __init__(
@@ -101,7 +92,6 @@ class PolicyMaker:
         expand_candidates: int = 3,
         shrink_candidates: int = 2,
         min_replicas: int = 1,
-        use_delta: bool = True,
         topology: "ClusterTopology | None" = None,
         placement_search: str = "flat",
     ) -> None:
@@ -115,11 +105,15 @@ class PolicyMaker:
             raise SchedulingError(
                 f"unknown placement_search {placement_search!r}"
             )
+        if placement_search == "hierarchical" and topology is None:
+            raise SchedulingError(
+                "placement_search='hierarchical' needs a topology for its "
+                "node partition"
+            )
         self._cost_model = cost_model
         self._router = router or FlexibleTokenRouter()
         self._memo = MemoizedStepCost(cost_model, self._router)
-        self._use_delta = use_delta
-        self._delta = DeltaStepCost(cost_model) if use_delta else None
+        self._delta = DeltaStepCost(cost_model)
         self._adjustment_horizon = adjustment_horizon
         self._expand_candidates = expand_candidates
         self._shrink_candidates = shrink_candidates
@@ -128,9 +122,7 @@ class PolicyMaker:
         if placement_search == "auto":
             placement_search = resolve_placement_search(num_gpus)
         self._hierarchical = (
-            placement_search == "hierarchical"
-            and topology is not None
-            and use_delta
+            placement_search == "hierarchical" and topology is not None
         )
         # Devices are node-major, so gpu // gpus_per_node is its node id.
         self._gpus_per_node = (
@@ -143,17 +135,14 @@ class PolicyMaker:
 
     @property
     def memo(self) -> MemoizedStepCost:
-        """The (placement, load-vector) step-time memo backing the search."""
+        """The (placement, load-vector) step-time memo behind
+        :meth:`estimate_step_time`."""
         return self._memo
 
     @property
-    def delta(self) -> DeltaStepCost | None:
-        """The incremental evaluator (``None`` on the reference path)."""
+    def delta(self) -> DeltaStepCost:
+        """The incremental evaluator scoring every candidate."""
         return self._delta
-
-    @property
-    def uses_delta(self) -> bool:
-        return self._use_delta
 
     def estimate_step_time(
         self, assignment: np.ndarray, placement: Placement
@@ -172,15 +161,7 @@ class PolicyMaker:
     ) -> PolicyDecision:
         """Algorithm 2: propose one (Shrink, Expand) pair or nothing."""
         assignment = np.asarray(assignment)
-        if self._use_delta:
-            t0 = self._delta.rebase(assignment, placement)
-            assignment_key = None
-        else:
-            assignment_key = MemoizedStepCost.assignment_key(assignment)
-            t0 = self._memo.step_time(
-                assignment, placement, assignment_key=assignment_key,
-                phase="policy",
-            )
+        t0 = self._delta.rebase(assignment, placement)
         expert_loads = assignment.sum(axis=1).astype(float)
         replicas = placement.replica_counts().astype(float)
         caps = expert_loads / replicas
@@ -196,12 +177,7 @@ class PolicyMaker:
                 order_asc, replicas, exclude=e0
             )
             for e1 in shrinkable[: self._shrink_candidates]:
-                if self._use_delta:
-                    decision = self._sweep_pair(placement, e0, e1, t0)
-                else:
-                    decision = self._best_pair(
-                        assignment, placement, e0, e1, t0, assignment_key
-                    )
+                decision = self._sweep_pair(placement, e0, e1, t0)
                 if decision is not None and (
                     best is None or decision.time_after < best.time_after
                 ):
@@ -233,11 +209,12 @@ class PolicyMaker:
     def _sweep_pair(
         self, placement: Placement, e0: int, e1: int, t0: float
     ) -> PolicyDecision | None:
-        """Delta path: batch-score all shrink GPUs of (e1 -> e0) at once.
+        """Batch-score all shrink GPUs of (e1 -> e0) at once.
 
-        Candidate enumeration order, validity rules and tie-breaking are
-        identical to :meth:`_best_pair`; only the evaluation is
-        incremental (no placement copies, no full re-route).
+        A shrink GPU is valid when the distinct-device replication floor
+        survives it; candidates are enumerated in ascending GPU order and
+        the first of equally good ones wins, with no placement copies and
+        no full re-route.
 
         Hierarchical mode partitions the shrink GPUs into those on nodes
         already hosting the hot expert ``e0`` (where Expand packs or rides
@@ -287,8 +264,7 @@ class PolicyMaker:
         viable = effective < t0
         if not viable.any():
             return None
-        # First-best wins ties, exactly like the reference loop's strict
-        # `effective < best.time_after` update rule.
+        # First-best wins ties (argmin returns the first minimum).
         masked = np.where(viable, effective, np.inf)
         pick = int(np.argmin(masked))
         gpu = int(gpus[pick])
@@ -306,11 +282,10 @@ class PolicyMaker:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Cheapest source replica + transfer seconds per expand target.
 
-        Vectorized equivalent of :meth:`_expand_source` +
-        :meth:`MoECostModel.adjustment_cost` for one Expand: packing on a
-        holder GPU is free; otherwise the highest-bandwidth holder pays
-        ``state_bytes / Bw`` (first holder wins bandwidth ties, matching
-        ``max()`` over the ascending holder tuple).
+        Packing on a holder GPU is free; otherwise the highest-bandwidth
+        holder pays ``state_bytes / Bw`` (first holder wins bandwidth
+        ties), the seconds :meth:`MoECostModel.adjustment_cost` charges
+        the (Shrink, Expand) pair.
         """
         counts = placement.counts_view[expert]
         holders = np.flatnonzero(counts)
@@ -325,61 +300,6 @@ class PolicyMaker:
         sources = np.where(packed, targets, sources)
         adjustments = np.where(packed, 0.0, adjustments)
         return sources, adjustments
-
-    def _best_pair(
-        self,
-        assignment: np.ndarray,
-        placement: Placement,
-        e0: int,
-        e1: int,
-        t0: float,
-        assignment_key: tuple | None = None,
-    ) -> PolicyDecision | None:
-        """Reference path: best (Shrink e1@g, Expand e0@g) over all shrink
-        GPUs ``g``, one full evaluation per candidate."""
-        best: PolicyDecision | None = None
-        for gpu in placement.gpus_of(e1):
-            trial = placement.copy()
-            shrink = Shrink(expert=e1, gpu=gpu)
-            try:
-                shrink.apply(trial)
-            except PlacementError:  # last replica elsewhere raced; skip
-                continue
-            if len(trial.gpus_of(e1)) < self._min_replicas:
-                # The floor is on distinct DEVICES: packed copies on one
-                # GPU share weights and die together, so they provide no
-                # fault tolerance.
-                continue
-            source = self._expand_source(trial, e0, gpu)
-            expand = Expand(expert=e0, gpu=gpu, source_gpu=source)
-            expand.apply(trial)
-            t1 = self._memo.step_time(
-                assignment, trial, assignment_key=assignment_key,
-                phase="policy",
-            )
-            adjustment = self._cost_model.adjustment_cost([shrink, expand])
-            effective = t1 + self._amortized(adjustment)
-            if effective < t0 and (best is None or effective < best.time_after):
-                best = PolicyDecision(
-                    actions=(shrink, expand),
-                    time_before=t0,
-                    time_after=effective,
-                    adjustment_time=adjustment,
-                )
-        return best
-
-    def _expand_source(self, placement: Placement, expert: int, target: int) -> int:
-        """Cheapest source replica for copying ``expert``'s states to ``target``."""
-        holders = placement.gpus_of(expert)
-        if target in holders:
-            return target  # packing: intra-GPU parameter sharing, free
-        profile = self._cost_model.profile
-        return max(holders, key=lambda g: profile.link_bandwidth(g, target))
-
-    def _amortized(self, adjustment: float) -> float:
-        if self._adjustment_horizon == 0:
-            return 0.0
-        return adjustment / self._adjustment_horizon
 
     def _amortized_vec(self, adjustments: np.ndarray) -> np.ndarray:
         if self._adjustment_horizon == 0:

@@ -95,8 +95,6 @@ class Scheduler:
             policy.cost_model,
             topology,
             min_replicas=config.min_replicas,
-            use_delta=config.delta_evaluation,
-            memo=policy.memo,
             placement_search=config.placement_search,
             # Share the policy's evaluator: the migrate pass then rebases
             # incrementally from the round the policy just priced instead

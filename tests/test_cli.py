@@ -116,9 +116,10 @@ def test_perf_smoke_passes_and_writes_report(capsys, tmp_path):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
     assert payload["total_fallbacks"] == 0
-    assert payload["planner"]["decisions_match"] is True
-    assert payload["pipeline"]["simulated_results_match"] is True
-    assert payload["faults"]["simulated_results_match"] is True
+    assert payload["planner"]["fallbacks"] == 0
+    assert payload["faults"]["fallbacks"] == 0
+    assert payload["telemetry_overhead"]["fallbacks"] == 0
+    assert payload["telemetry_overhead"]["simulated_results_match"] is True
     written = json.loads(out.read_text())
     assert written["suite"] == "step_overhead"
     assert written["smoke"] is True
@@ -136,7 +137,7 @@ def test_perf_human_readable(capsys, tmp_path):
     assert main(["perf", "--smoke", "--output", str(out)]) == 0
     text = capsys.readouterr().out
     assert "planner" in text and "rounds/s" in text
-    assert "decisions identical" in text
+    assert "delta     rebases" in text
     assert "fallbacks to full recompute: 0" in text
     assert "perf: OK" in text
 

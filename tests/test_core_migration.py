@@ -6,6 +6,7 @@ import pytest
 from repro.core.migration import MigrationPlanner
 from repro.core.placement import Placement
 from repro.core.primitives import Migrate
+from repro.core.router import FlexibleTokenRouter
 from repro.exceptions import SchedulingError
 
 
@@ -29,16 +30,21 @@ class TestPlanner:
         assignment = np.full((8, 8), 1000, dtype=np.int64)
         assert planner.plan(assignment, placement) == []
 
-    def test_moves_strictly_improve_modelled_time(self, planner):
+    def test_moves_strictly_improve_modelled_time(self, planner, cost_model):
         placement = scattered_placement()
         assignment = np.full((8, 8), 1000, dtype=np.int64)
         assignment[0] = 40_000
-        before = planner.step_time(assignment, placement)
+        router = FlexibleTokenRouter()
+
+        def step_time(p):
+            return cost_model.step_time(router.route_fractional(assignment, p), p)
+
+        before = step_time(placement)
         moves = planner.plan(assignment, placement)
         trial = placement.copy()
         for move in moves:
             move.apply(trial)
-        after = planner.step_time(assignment, trial)
+        after = step_time(trial)
         if moves:
             assert after < before
 

@@ -21,6 +21,14 @@ def skewed_assignment(num_experts=8, num_gpus=8, hot_tokens=400_000):
     return assignment
 
 
+def replicated_expert_placement() -> Placement:
+    """Expert ``g`` on GPU ``g``, plus expert 0 on GPUs 1 and 5 (2 x 4
+    cluster: GPUs 0-3 on node 0, 4-7 on node 1)."""
+    counts = np.eye(8, dtype=np.int64)
+    counts[0, [1, 5]] = 1
+    return Placement(counts, 2)
+
+
 class TestMakePlan:
     def test_proposes_pair_for_skewed_load(self, policy):
         placement = Placement.balanced(8, 8, 2)
@@ -71,8 +79,59 @@ class TestMakePlan:
 
     def test_expand_source_prefers_packing(self, policy):
         placement = Placement.balanced(4, 4, 2)
-        source = policy._expand_source(placement, 0, placement.gpus_of(0)[0])
-        assert source == placement.gpus_of(0)[0]
+        target = placement.gpus_of(0)[0]
+        sources, seconds = policy._expand_sources_batch(
+            placement, 0, np.array([target])
+        )
+        assert sources[0] == target
+        assert seconds[0] == 0.0
+
+    def test_expand_source_takes_highest_bandwidth_holder(
+        self, policy, cost_model
+    ):
+        # Expert 0 on GPUs 0, 1 (node 0) and 5 (node 1): GPU 6 copies from
+        # its NVLink peer 5, not from the first (cross-node) holder.
+        placement = replicated_expert_placement()
+        profile = cost_model.profile
+        assert profile.link_bandwidth(5, 6) > profile.link_bandwidth(0, 6)
+        sources, _ = policy._expand_sources_batch(placement, 0, np.array([6]))
+        assert sources[0] == 5
+
+    def test_expand_source_bandwidth_tie_goes_to_first_holder(
+        self, policy, cost_model
+    ):
+        # GPUs 0 and 1 reach GPU 2 over identical intra-node links.
+        placement = replicated_expert_placement()
+        profile = cost_model.profile
+        assert profile.link_bandwidth(0, 2) == profile.link_bandwidth(1, 2)
+        sources, _ = policy._expand_sources_batch(placement, 0, np.array([2]))
+        assert sources[0] == 0
+
+    def test_expand_source_seconds_match_adjustment_cost(
+        self, policy, cost_model
+    ):
+        placement = replicated_expert_placement()
+        targets = np.arange(8)
+        sources, seconds = policy._expand_sources_batch(placement, 0, targets)
+        for target, source, charged in zip(targets, sources, seconds):
+            shrink = Shrink(expert=int(target), gpu=int(target))
+            expand = Expand(
+                expert=0, gpu=int(target), source_gpu=int(source)
+            )
+            assert charged == pytest.approx(
+                cost_model.adjustment_cost([shrink, expand]), rel=1e-12
+            )
+        assert seconds[[0, 1, 5]].tolist() == [0.0, 0.0, 0.0]  # packing
+        assert (seconds[[2, 3, 4, 6, 7]] > 0).all()
+
+    def test_hierarchical_search_needs_topology(self, cost_model, topology):
+        with pytest.raises(SchedulingError, match="topology"):
+            PolicyMaker(cost_model, placement_search="hierarchical")
+        PolicyMaker(
+            cost_model, placement_search="hierarchical", topology=topology
+        )
+        # "auto" resolves without a topology and stays flat.
+        assert not PolicyMaker(cost_model, placement_search="auto")._hierarchical
 
     def test_adjustment_horizon_validation(self, cost_model):
         with pytest.raises(SchedulingError):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from search_oracle import ReferencePolicyMaker
 
 from repro.cluster.profiler import Profiler
 from repro.cluster.topology import ClusterTopology
@@ -89,18 +90,18 @@ def test_capacity_validated(cost_model):
 
 
 def test_policy_maker_uses_memo(cost_model, rng):
-    # The reference (non-delta) search path runs on the memo; the delta
-    # path has its own evaluator and is covered by test_delta_cost.py.
-    policy = PolicyMaker(cost_model, use_delta=False)
+    # estimate_step_time prices through the memo; the search itself runs
+    # on the delta evaluator and is covered by test_delta_cost.py.
+    policy = PolicyMaker(cost_model)
     placement = Placement.balanced(8, 4, 4)
     assignment = rng.integers(0, 5000, (8, 4))
-    policy.make_plan(assignment, placement)
-    first_misses = policy.memo.misses
-    assert first_misses > 0
-    # Same query again: the search replays entirely from the memo.
-    policy.make_plan(assignment, placement)
-    assert policy.memo.misses == first_misses
-    assert policy.memo.hits > 0
+    first = policy.estimate_step_time(assignment, placement)
+    assert policy.memo.misses == 1
+    # Same query again: replayed from the memo, attributed to the policy.
+    assert policy.estimate_step_time(assignment, placement) == first
+    assert policy.memo.misses == 1
+    assert policy.memo.hits == 1
+    assert policy.memo.phase_stats()["policy"]["hits"] == 1.0
 
 
 def test_assignment_key_precomputation_matches(cost_model, rng):
@@ -117,14 +118,14 @@ def test_assignment_key_precomputation_matches(cost_model, rng):
 
 
 def test_policy_decisions_unchanged_by_memo(cost_model, rng):
-    # Two fresh policy makers (cold caches) agree; and a warm cache gives
-    # the same plan as a cold one.
+    # Two fresh memo-backed searches (cold caches) agree; and a warm cache
+    # gives the same plan as a cold one.
     placement = Placement.balanced(8, 4, 4)
     assignment = rng.integers(0, 5000, (8, 4))
-    cold = PolicyMaker(cost_model, use_delta=False).make_plan(
+    cold = ReferencePolicyMaker(cost_model).make_plan(
         assignment, placement.copy()
     )
-    warm_policy = PolicyMaker(cost_model, use_delta=False)
+    warm_policy = ReferencePolicyMaker(cost_model)
     warm_policy.make_plan(assignment, placement.copy())
     warm = warm_policy.make_plan(assignment, placement.copy())
     assert cold.actions == warm.actions
@@ -227,28 +228,6 @@ def placement_after(placement, expert):
     clone = placement.copy()
     clone.remove_vexpert(expert, clone.gpus_of(expert)[0])
     return clone
-
-
-def test_shared_memo_hits_on_migration_baseline(cost_model, rng):
-    """The Scheduler shares one memo between the Policy Maker and the
-    Migration Planner, so the planner's reference-path baseline -- the
-    exact configuration the policy just scored -- is a cache hit."""
-    from repro.cluster.topology import ClusterTopology
-    from repro.core.migration import MigrationPlanner
-
-    topology = ClusterTopology(CLUSTER)
-    policy = PolicyMaker(cost_model, use_delta=False)
-    planner = MigrationPlanner(
-        cost_model, topology, use_delta=False, memo=policy.memo
-    )
-    placement = Placement.balanced(8, 4, 4)
-    assignment = rng.integers(0, 5000, (8, 4))
-    policy.make_plan(assignment, placement)
-    before = policy.memo.hits
-    planner.step_time(assignment, placement)
-    assert policy.memo.hits == before + 1
-    phases = policy.memo.phase_stats()
-    assert phases["migration"]["hits"] == 1.0
 
 
 from hypothesis import HealthCheck, given, settings, strategies as st

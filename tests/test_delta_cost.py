@@ -11,6 +11,7 @@ fallback accounting (the perf smoke's CI gate) is pinned down.
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from search_oracle import ReferenceMigrationPlanner, ReferencePolicyMaker
 
 from repro.cluster.events import ClusterState
 from repro.cluster.profiler import Profiler
@@ -243,14 +244,16 @@ class TestProbeOrder:
         for use_delta in (True, False):
             profile = Profiler(topology, noise=0.02, seed=seed).profile(model)
             cost_model = MoECostModel(profile, model)
-            policy = PolicyMaker(cost_model, use_delta=use_delta)
-            migration = MigrationPlanner(
-                cost_model,
-                topology,
-                use_delta=use_delta,
-                memo=policy.memo,
-                delta=policy.delta if use_delta else None,
-            )
+            if use_delta:
+                policy = PolicyMaker(cost_model)
+                migration = MigrationPlanner(
+                    cost_model, topology, delta=policy.delta
+                )
+            else:
+                policy = ReferencePolicyMaker(cost_model)
+                migration = ReferenceMigrationPlanner(
+                    cost_model, topology, memo=policy.memo
+                )
             placement = Placement.balanced(16, 16, 3)
             log = []
             for step in range(trace.num_steps):

@@ -51,15 +51,12 @@ def _replay(cost_model, topology, trace, slots, placement_search):
     num_experts = cost_model.model.num_experts
     policy = PolicyMaker(
         cost_model,
-        use_delta=True,
         topology=topology,
         placement_search=placement_search,
     )
     migration = MigrationPlanner(
         cost_model,
         topology,
-        use_delta=True,
-        memo=policy.memo,
         placement_search=placement_search,
         delta=policy.delta,
     )
@@ -172,8 +169,7 @@ def test_escalation_never_skips_viable_intra_candidate(seed):
     profile = Profiler(topology, noise=0.0, seed=0).profile(model)
     cost_model = MoECostModel(profile, model)
     planner = MigrationPlanner(
-        cost_model, topology, use_delta=True,
-        placement_search="hierarchical",
+        cost_model, topology, placement_search="hierarchical",
     )
     placement = _perturbed_placement(rng, num_experts, num_gpus, slots)
     assignment = rng.integers(

@@ -1,17 +1,23 @@
-"""Scheduling decisions are identical on the delta and reference paths.
+"""Scheduling decisions of the delta search equal the reference search's.
 
 The delta-cost search is a pure performance optimization: given the same
 seeded scenario, the Policy Maker and Migrate planner must propose exactly
-the same actions whether they evaluate candidates incrementally or through
-the full-recompute reference evaluator. Asserted here on evolving
-single-layer scenarios, the multi-layer pipelined engine and the elastic
-faults scenario (failures and stragglers mid-run), following the
-``ReferenceTokenRouter`` precedent of keeping the seed implementation as
-the executable specification.
+the same actions as the copy-per-candidate search over the full evaluator
+(``search_oracle.py``). Asserted here on evolving single-layer scenarios,
+the multi-layer pipelined engine and the elastic faults scenario (failures
+and stragglers mid-run), following the ``ReferenceTokenRouter`` precedent
+of keeping the seed implementation as the executable specification.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
+from search_oracle import (
+    ReferenceMigrationPlanner,
+    ReferencePolicyMaker,
+    reference_search,
+)
 
 from repro.bench.harness import faults_run
 from repro.cluster.profiler import Profiler
@@ -62,8 +68,8 @@ def test_policy_decisions_identical_on_evolving_scenario(noise):
     """Single layer: make_plan agrees step by step as the placement evolves."""
     cost_model, _ = build_cost_model(noise)
     trace = drifting_trace()
-    delta_policy = PolicyMaker(cost_model, use_delta=True)
-    ref_policy = PolicyMaker(cost_model, use_delta=False)
+    delta_policy = PolicyMaker(cost_model)
+    ref_policy = ReferencePolicyMaker(cost_model)
     p_delta = Placement.balanced(16, 8, auto_slots_per_gpu(16, 8))
     p_ref = p_delta.copy()
     proposals = 0
@@ -84,8 +90,8 @@ def test_policy_decisions_identical_on_evolving_scenario(noise):
 def test_migration_plans_identical_on_evolving_scenario():
     cost_model, topology = build_cost_model()
     trace = drifting_trace(seed=3)
-    delta_planner = MigrationPlanner(cost_model, topology, use_delta=True)
-    ref_planner = MigrationPlanner(cost_model, topology, use_delta=False)
+    delta_planner = MigrationPlanner(cost_model, topology)
+    ref_planner = ReferenceMigrationPlanner(cost_model, topology)
     placement = Placement.balanced(16, 8, auto_slots_per_gpu(16, 8))
     moves_seen = 0
     for step in range(trace.num_steps):
@@ -100,20 +106,43 @@ def test_migration_plans_identical_on_evolving_scenario():
     assert delta_planner.delta.fallbacks == 0
 
 
-def test_scheduler_histories_identical():
+@pytest.mark.parametrize("tokens", [979, 1355])
+def test_migration_rejects_cost_neutral_exchanges(tokens):
+    """Under uniform load on a balanced placement every exchange is
+    cost-neutral up to float rounding; the delta sweep must reject them
+    exactly as the reference does (a strict improvement beyond 1e-12 s)."""
+    model = MoEModelConfig(
+        "neutral", num_layers=2, d_model=256, d_ffn=1024, num_experts=8
+    )
+    topology = ClusterTopology(CLUSTER)
+    profile = Profiler(topology, noise=0.0, seed=0).profile(model)
+    cost_model = MoECostModel(profile, model)
+    placement = Placement.balanced(8, 8, 3)
+    assignment = np.full((8, 8), tokens, dtype=np.int64)
+    reference = ReferenceMigrationPlanner(cost_model, topology).plan(
+        assignment, placement
+    )
+    delta = MigrationPlanner(cost_model, topology).plan(assignment, placement)
+    assert delta == reference == []
+
+
+def test_scheduler_histories_identical(monkeypatch):
     """Algorithm 1 end to end: same triggers, same rounds, same actions."""
     cost_model, topology = build_cost_model()
     trace = drifting_trace()
-    schedulers = {}
-    for name, use_delta in (("delta", True), ("reference", False)):
+
+    def scheduler(policy_cls):
         placement = Placement.balanced(16, 8, auto_slots_per_gpu(16, 8))
-        policy = PolicyMaker(cost_model, use_delta=use_delta)
-        schedulers[name] = Scheduler(
-            placement,
-            policy,
-            SchedulerConfig(delta_evaluation=use_delta),
-            topology,
+        return Scheduler(
+            placement, policy_cls(cost_model), SchedulerConfig(), topology
         )
+
+    schedulers = {"delta": scheduler(PolicyMaker)}
+    with reference_search(monkeypatch):
+        schedulers["reference"] = scheduler(ReferencePolicyMaker)
+    assert isinstance(
+        schedulers["reference"].migration, ReferenceMigrationPlanner
+    )
     for step in range(trace.num_steps):
         assignment = trace.step(step)
         out_d = schedulers["delta"].on_step(assignment, step)
@@ -126,9 +155,19 @@ def test_scheduler_histories_identical():
         schedulers["delta"].placement.signature()
         == schedulers["reference"].placement.signature()
     )
+    # The reference side never touched its (unused) delta evaluator.
+    assert schedulers["reference"].policy.delta.rebases == 0
 
 
-def test_multilayer_engine_runs_identical():
+def delta_rebases(engine) -> int:
+    """Delta rebases across the engine's layers: 0 when every layer ran
+    the reference search."""
+    return sum(
+        layer.scheduler.policy.delta.rebases for layer in engine.layers
+    )
+
+
+def test_multilayer_engine_runs_identical(monkeypatch):
     """The pipelined engine produces identical placements and timings."""
     model = MoEModelConfig(
         "eq-pipe", num_layers=4, d_model=512, d_ffn=2048, num_experts=16
@@ -139,16 +178,25 @@ def test_multilayer_engine_runs_identical():
     )
     results = {}
     signatures = {}
+    rebases = {}
     for use_delta in (True, False):
-        engine = build_engine(
-            ClusterConfig(num_nodes=1, gpus_per_node=8),
-            model,
-            num_moe_layers=2,
-            scheduler_config=SchedulerConfig(delta_evaluation=use_delta),
-            seed=0,
+        search = (
+            contextlib.nullcontext()
+            if use_delta
+            else reference_search(monkeypatch)
         )
-        results[use_delta] = simulate_pipeline(engine, trace, warmup=2)
+        with search:
+            engine = build_engine(
+                ClusterConfig(num_nodes=1, gpus_per_node=8),
+                model,
+                num_moe_layers=2,
+                scheduler_config=SchedulerConfig(),
+                seed=0,
+            )
+            results[use_delta] = simulate_pipeline(engine, trace, warmup=2)
         signatures[use_delta] = engine.placement_signatures()
+        rebases[use_delta] = delta_rebases(engine)
+    assert rebases[True] > 0 and rebases[False] == 0
     assert signatures[True] == signatures[False]
     assert np.array_equal(
         results[True].step_times, results[False].step_times
@@ -160,7 +208,7 @@ def test_multilayer_engine_runs_identical():
     assert actions[0] == actions[1] > 0
 
 
-def test_faults_scenario_runs_identical():
+def test_faults_scenario_runs_identical(monkeypatch):
     """Elastic runs with failures and stragglers mid-search agree too."""
     faults = FaultConfig(
         num_failures=1,
@@ -173,16 +221,21 @@ def test_faults_scenario_runs_identical():
     )
     summaries = {}
     for use_delta in (True, False):
-        result = faults_run(
-            num_moe_layers=2,
-            num_gpus=8,
-            num_experts=16,
-            num_steps=25,
-            warmup=3,
-            faults=faults,
-            seed=0,
-            delta_evaluation=use_delta,
+        search = (
+            contextlib.nullcontext()
+            if use_delta
+            else reference_search(monkeypatch)
         )
+        with search:
+            result = faults_run(
+                num_moe_layers=2,
+                num_gpus=8,
+                num_experts=16,
+                num_steps=25,
+                warmup=3,
+                faults=faults,
+                seed=0,
+            )
         summaries[use_delta] = result.summary()
         assert result.flexmoe_rehomed
     assert summaries[True]["flexmoe_actions"] == summaries[False][
@@ -194,3 +247,22 @@ def test_faults_scenario_runs_identical():
     assert summaries[True]["baseline"]["final"] == pytest.approx(
         summaries[False]["baseline"]["final"], rel=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda cm, topo: SchedulerConfig(delta_evaluation=False),
+        lambda cm, topo: PolicyMaker(cm, use_delta=False),
+        lambda cm, topo: MigrationPlanner(cm, topo, use_delta=False),
+        lambda cm, topo: MigrationPlanner(cm, topo, memo=None),
+        lambda cm, topo: faults_run(delta_evaluation=False),
+    ],
+    ids=["scheduler-config", "policy", "migration", "migration-memo", "faults"],
+)
+def test_reference_search_is_not_selectable(build):
+    """The shipped simulator has one search path; the reference lives in
+    search_oracle.py only."""
+    cost_model, topology = build_cost_model()
+    with pytest.raises(TypeError):
+        build(cost_model, topology)
