@@ -2,7 +2,9 @@
 
 Every benchmark under ``benchmarks/`` maps to one table or figure of the
 evaluation section; :mod:`repro.bench.harness` holds the shared experiment
-drivers, :mod:`repro.bench.reporting` renders paper-style rows/series,
+drivers, :mod:`repro.bench.reporting` holds the one report type every
+``BENCH_*.json`` takes (named gates, provenance, one writer) and renders
+paper-style rows/series,
 :mod:`repro.bench.perf` measures the scheduling hot path (``python -m
 repro perf``, ``BENCH_step_overhead.json``) and
 :mod:`repro.bench.serving` compares the dynamic and static online servers
@@ -19,13 +21,18 @@ from repro.bench.perf import (
     faults_overhead_benchmark,
     perf_suite,
     planner_benchmark,
+)
+from repro.bench.reporting import (
+    Report,
+    format_series,
+    format_table,
     write_report,
 )
-from repro.bench.reporting import format_series, format_table
 from repro.bench.serving import ServingRunResult, serving_run
 
 __all__ = [
     "ExperimentScale",
+    "Report",
     "ServingRunResult",
     "faults_overhead_benchmark",
     "figure5_comparison",

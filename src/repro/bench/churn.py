@@ -27,14 +27,9 @@ Run via ``python -m repro churn [--smoke]``.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.bench.harness import cluster_for
-from repro.bench.serving import (
-    _serving_model,
-    probe_batch_seconds,
-    write_report,
-)
+from repro.bench.reporting import Report, gate
+from repro.bench.serving import _serving_model, probe_batch_seconds
 from repro.serving.admission import BatchingConfig
 from repro.serving.baseline import build_multitenant_serving
 from repro.serving.engine import TopicRoutingModel
@@ -158,7 +153,7 @@ def degradation_run(
     num_topics: int = 4,
     topic_drift: float = 0.4,
     skew: float = 2.0,
-) -> dict[str, object]:
+) -> Report:
     """Shed-on vs shed-off under the same mid-stream capacity loss.
 
     Both servers run the identical multi-tenant stream and lose the same
@@ -246,79 +241,84 @@ def degradation_run(
 
     shed_on = arms["shed_on"]
     shed_off = arms["shed_off"]
-    gates = {
-        # Capacity loss actually happened, identically, in both arms.
-        "loss_applied": all(
-            arm["devices_revoked"] == lost_devices for arm in arms.values()
-        ),
-        # Nothing silently dropped: served + rejected (shed folded in)
-        # covers the whole stream in both arms.
-        "accounting_conserved": all(
-            arm["requests_unaccounted"] == 0 for arm in arms.values()
-        ),
-        # The mechanism engaged, and only ever against the batch class.
-        "shed_engaged": shed_on["serving"]["shed_requests"] > 0,
-        "shed_spares_interactive": (
-            class_shed(shed_on, "interactive") == 0
-        ),
-        # Graceful: the interactive class degrades strictly later than
-        # batch under the same loss.
-        "interactive_degrades_later": (
-            class_attainment(shed_on, "interactive")
-            > class_attainment(shed_on, "batch")
-        ),
-        # Shedding must not hurt the class it protects.
-        "shedding_protects_interactive": (
-            class_attainment(shed_on, "interactive")
-            >= class_attainment(shed_off, "interactive")
-        ),
-    }
-    return {
-        "scenario": {
-            "num_moe_layers": num_moe_layers,
-            "num_gpus": num_gpus,
-            "num_experts": num_experts,
-            "num_requests": len(requests),
-            "load": load,
-            "rate_rps": rate_rps,
-            "interactive_share": interactive_share,
-            "lost_devices": lost_devices,
-            "loss_at_s": wave[0],
-            "notice_window_s": notice_fraction * expected_duration,
-            "balanced_batch_s": base,
-            "seed": seed,
+    gates = {}
+    for label, arm in arms.items():
+        # Capacity loss actually happened, identically, in both arms, and
+        # nothing was silently dropped: served + rejected (shed folded
+        # in) covers the whole stream.
+        gates[f"{label}.devices_revoked"] = gate(
+            arm["devices_revoked"], "==", lost_devices
+        )
+        gates[f"{label}.requests_unaccounted"] = gate(
+            arm["requests_unaccounted"], "==", 0
+        )
+    # The mechanism engaged, and only ever against the batch class.
+    gates["shed_engaged"] = gate(shed_on["serving"]["shed_requests"], ">", 0)
+    gates["shed_spares_interactive"] = gate(
+        class_shed(shed_on, "interactive"), "==", 0
+    )
+    # Graceful: the interactive class degrades strictly later than batch
+    # under the same loss.
+    gates["interactive_degrades_later"] = gate(
+        class_attainment(shed_on, "interactive"),
+        ">",
+        class_attainment(shed_on, "batch"),
+    )
+    # Shedding must not hurt the class it protects.
+    gates["shedding_protects_interactive"] = gate(
+        class_attainment(shed_on, "interactive"),
+        ">=",
+        class_attainment(shed_off, "interactive"),
+    )
+    return Report(
+        suite="degradation",
+        payload={
+            "scenario": {
+                "num_moe_layers": num_moe_layers,
+                "num_gpus": num_gpus,
+                "num_experts": num_experts,
+                "num_requests": len(requests),
+                "load": load,
+                "rate_rps": rate_rps,
+                "interactive_share": interactive_share,
+                "lost_devices": lost_devices,
+                "loss_at_s": wave[0],
+                "notice_window_s": notice_fraction * expected_duration,
+                "balanced_batch_s": base,
+                "seed": seed,
+            },
+            "shed_off": shed_off,
+            "shed_on": shed_on,
         },
-        "shed_off": shed_off,
-        "shed_on": shed_on,
-        "gates": gates,
-        "ok": all(gates.values()),
-    }
+        gates=gates,
+    )
 
 
-def churn_bench_run(smoke: bool = False, seed: int = 0) -> dict[str, object]:
+def churn_bench_run(smoke: bool = False, seed: int = 0) -> Report:
     """The full benchmark: churn matrix + degradation pair, one verdict.
 
-    ``ok`` (CI gates on it) requires every churn row's own paired gate
-    to hold -- autoscaled strictly beating fixed on SLO attainment with
-    full accounting and surviving experts -- and every degradation gate.
+    The report's gates are every churn row's own paired gates, prefixed
+    by the row name (``spot.attainment_gain``) -- autoscaled strictly
+    beating fixed on SLO attainment with full accounting and surviving
+    experts -- plus every degradation gate (``degradation.*``); CI gates
+    on them.
     """
-    rows: dict[str, dict[str, object]] = {}
-    for name, config in churn_matrix_configs(seed).items():
-        rows[name] = churn_scenario_run(smoke=smoke, config=config)
-    degradation = degradation_run(smoke=smoke, seed=seed)
-    ok = all(row["ok"] for row in rows.values()) and degradation["ok"]
-    return {
-        "suite": "autoscale_churn",
-        "smoke": smoke,
-        "rows": rows,
-        "degradation": degradation,
-        "ok": ok,
-        "regression": not ok,
+    rows = {
+        name: churn_scenario_run(smoke=smoke, config=config)
+        for name, config in churn_matrix_configs(seed).items()
     }
-
-
-def write_churn_report(
-    report: dict[str, object], path: str | Path = CHURN_REPORT_FILENAME
-) -> Path:
-    """Persist the churn benchmark report as JSON."""
-    return write_report(report, path)
+    degradation = degradation_run(smoke=smoke, seed=seed)
+    gates = {
+        f"{prefix}.{name}": entry
+        for prefix, sub in (*rows.items(), ("degradation", degradation))
+        for name, entry in sub.gates.items()
+    }
+    return Report(
+        suite="autoscale_churn",
+        payload={
+            "smoke": smoke,
+            "rows": {name: row.to_dict() for name, row in rows.items()},
+            "degradation": degradation.to_dict(),
+        },
+        gates=gates,
+    )

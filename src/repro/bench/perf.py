@@ -24,10 +24,11 @@ Benchmark families:
 * :func:`serving_events_benchmark` and :func:`kernel_events_benchmark`
   — serving and pure-kernel event throughput against absolute floors.
 
-:func:`perf_suite` composes them; its ``ok`` verdict requires every delta
+:func:`perf_suite` composes them into one
+:class:`~repro.bench.reporting.Report` whose gates require every delta
 evaluator to report **zero fallbacks** to full recomputation, both event
-benchmarks to clear their floors, and the telemetry on/off identity.
-CI runs ``python -m repro perf --smoke`` and fails on a false verdict, so
+benchmarks to clear their floors, and the telemetry on/off identity.  CI
+runs ``python -m repro perf --smoke`` and fails on any failing gate, so
 neither the delta hot path, the event machinery, nor the telemetry taps
 can silently regress.  Decision identity of the delta search with the
 copy-per-candidate search it replaced is a tier-1 test
@@ -38,14 +39,13 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import json
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.bench.harness import cluster_for, faults_run
+from repro.bench.reporting import Report, gate
 from repro.cluster.profiler import Profiler
 from repro.cluster.topology import ClusterTopology
 from repro.config import (
@@ -578,15 +578,15 @@ def kernel_events_benchmark(
     }
 
 
-def perf_suite(smoke: bool = False, seed: int = 0) -> dict[str, object]:
+def perf_suite(smoke: bool = False, seed: int = 0) -> Report:
     """The full scheduling-overhead report.
 
     ``smoke`` shrinks every scenario to CI scale (seconds, not minutes)
-    without changing the structure.  The ``ok`` verdict requires zero
-    delta fallbacks on the planner, the 4-layer pipeline (telemetry leg)
-    and the faults scenario, a planner evaluator that actually scored
+    without changing the structure.  The gates require zero delta
+    fallbacks on the planner, the 4-layer pipeline (telemetry leg) and
+    the faults scenario, a planner evaluator that actually scored
     candidates, both event floors and the telemetry identity; CI gates on
-    it.  Throughputs are recorded for the perf trajectory, not gated.
+    them.  Throughputs are recorded for the perf trajectory, not gated.
     """
     if smoke:
         planner = planner_benchmark(
@@ -617,37 +617,51 @@ def perf_suite(smoke: bool = False, seed: int = 0) -> dict[str, object]:
         + float(faults["fallbacks"])
     )
     metrics = _delta_metrics_snapshot(planner["delta"])
-    ok = (
-        fallbacks == 0.0
+    gates = {
+        "total_fallbacks": gate(fallbacks, "==", 0.0),
         # Hot-path gates: the planner's evaluator must actually score
         # candidates (read back through the report's metrics snapshot),
         # both event benchmarks must clear their floors, and the kernel
         # must dispatch in key order.
-        and float(metrics["counters"].get("delta.evaluations", 0.0)) > 0.0
-        and bool(kernel_events["trace_ordered"])
-        and float(serving_events["events_per_sec"])
-        >= SERVING_EVENTS_PER_SEC_FLOOR
-        and float(kernel_events["events_per_sec"])
-        >= KERNEL_EVENTS_PER_SEC_FLOOR
+        "delta.evaluations": gate(
+            metrics["counters"].get("delta.evaluations", 0.0), ">", 0.0
+        ),
+        "kernel_events.trace_ordered": gate(
+            kernel_events["trace_ordered"], "==", True
+        ),
+        "serving_events.events_per_sec": gate(
+            serving_events["events_per_sec"], ">=", SERVING_EVENTS_PER_SEC_FLOOR
+        ),
+        "kernel_events.events_per_sec": gate(
+            kernel_events["events_per_sec"], ">=", KERNEL_EVENTS_PER_SEC_FLOOR
+        ),
         # Telemetry gates: observation must never change a decision,
         # and the enabled pass must actually record.
-        and bool(telemetry_overhead["simulated_results_match"])
-        and int(telemetry_overhead["enabled_trace_events"]) > 0
-        and int(telemetry_overhead["enabled_timeline_events"]) > 0
-    )
-    return {
-        "suite": "step_overhead",
-        "smoke": smoke,
-        "seed": seed,
-        "planner": planner,
-        "faults": faults,
-        "serving_events": serving_events,
-        "kernel_events": kernel_events,
-        "telemetry_overhead": telemetry_overhead,
-        "telemetry": {"metrics": metrics},
-        "total_fallbacks": fallbacks,
-        "ok": ok,
+        "telemetry_overhead.simulated_results_match": gate(
+            telemetry_overhead["simulated_results_match"], "==", True
+        ),
+        "telemetry_overhead.enabled_trace_events": gate(
+            telemetry_overhead["enabled_trace_events"], ">", 0
+        ),
+        "telemetry_overhead.enabled_timeline_events": gate(
+            telemetry_overhead["enabled_timeline_events"], ">", 0
+        ),
     }
+    return Report(
+        suite="step_overhead",
+        payload={
+            "smoke": smoke,
+            "seed": seed,
+            "planner": planner,
+            "faults": faults,
+            "serving_events": serving_events,
+            "kernel_events": kernel_events,
+            "telemetry_overhead": telemetry_overhead,
+            "telemetry": {"metrics": metrics},
+            "total_fallbacks": fallbacks,
+        },
+        gates=gates,
+    )
 
 
 def _delta_metrics_snapshot(delta_stats: dict) -> dict[str, object]:
@@ -666,10 +680,3 @@ def _delta_metrics_snapshot(delta_stats: dict) -> dict[str, object]:
     for name, value in sorted(delta_stats.items()):
         registry.counter(f"delta.{name}").inc(int(value))
     return registry.snapshot()
-
-
-def write_report(report: dict[str, object], path: str | Path) -> Path:
-    """Persist a perf report as machine-readable JSON."""
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path

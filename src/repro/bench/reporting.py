@@ -1,14 +1,130 @@
-"""Rendering helpers: paper-style tables and series.
+"""Benchmark reports and rendering helpers.
 
-Benchmarks print the same rows/series the paper reports so the
-reproduction can be compared against the published numbers at a glance.
+:class:`Report` is the one shape every ``BENCH_*.json`` takes: the
+suite's payload, its named gates (``ok`` is all of them passing) and the
+provenance of the command that produced it; :func:`write_report` is the
+one writer. The rendering helpers print the same rows/series the paper
+reports so the reproduction can be compared against the published
+numbers at a glance.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import operator
+import platform
+import shlex
+from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.exceptions import ConfigurationError
+
+#: The comparisons a gate may use, keyed by their JSON spelling.
+GATE_OPS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+    ">=": operator.ge,
+    ">": operator.gt,
+}
+
+
+def gate(value: object, op: str, bound: object) -> dict[str, object]:
+    """One named-gate record: ``value op bound`` and whether it holds.
+
+    Numpy scalars are unwrapped so the record serializes as plain JSON
+    and ``tools/check_bench.py`` can recompute ``passed`` from it.
+    """
+    value = value.item() if isinstance(value, np.generic) else value
+    bound = bound.item() if isinstance(bound, np.generic) else bound
+    return {
+        "value": value,
+        "op": op,
+        "bound": bound,
+        "passed": bool(GATE_OPS[op](value, bound)),
+    }
+
+
+@dataclasses.dataclass(frozen=True)
+class Report:
+    """A benchmark report: payload, named gates and provenance.
+
+    Attributes:
+        suite: The suite's name (the JSON ``suite`` key).
+        payload: The suite's measurements, under the JSON keys they are
+            written to.
+        gates: ``{name: gate(...)}``; :attr:`ok` is all of them passing.
+        provenance: The command that produced the report, stamped by the
+            CLI (:meth:`stamp`); ``None`` for library runs.
+    """
+
+    suite: str
+    payload: dict[str, object]
+    gates: dict[str, dict[str, object]]
+    provenance: dict[str, object] | None = None
+
+    @property
+    def ok(self) -> bool:
+        return all(entry["passed"] for entry in self.gates.values())
+
+    def stamp(self, argv: Sequence[str], smoke: bool, seed: int) -> "Report":
+        """This report with the provenance of ``python -m repro *argv``."""
+        return dataclasses.replace(
+            self,
+            provenance={
+                "command": shlex.join(["python", "-m", "repro", *argv]),
+                "argv": list(argv),
+                "smoke": bool(smoke),
+                "seed": int(seed),
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+            },
+        )
+
+    def to_dict(self) -> dict[str, object]:
+        """The JSON form: payload keys plus ``suite``, ``gates``, ``ok``
+        and (once stamped) ``provenance``."""
+        out = dict(self.payload)
+        out.update(suite=self.suite, gates=self.gates, ok=self.ok)
+        if self.provenance is not None:
+            out["provenance"] = self.provenance
+        return out
+
+    def __getitem__(self, key: str) -> object:
+        """A JSON key of the report (``report["serving"]``)."""
+        return self.to_dict()[key]
+
+    def gate_table(self) -> str:
+        """One line per gate: value, op, bound and PASS/FAIL."""
+
+        def cell(value: object) -> str:
+            return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+        return format_table(
+            ["gate", "value", "op", "bound", "verdict"],
+            [
+                [
+                    name,
+                    cell(entry["value"]),
+                    entry["op"],
+                    cell(entry["bound"]),
+                    "PASS" if entry["passed"] else "FAIL",
+                ]
+                for name, entry in self.gates.items()
+            ],
+        )
+
+
+def write_report(report: Report, path: str | Path) -> Path:
+    """Persist a report as machine-readable JSON."""
+    path = Path(path)
+    path.write_text(
+        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    )
+    return path
 
 
 def format_table(

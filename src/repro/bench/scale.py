@@ -28,12 +28,14 @@ three throughput families per size:
   (reusing :func:`~repro.bench.perf.kernel_events_benchmark`), gated by
   the same floor CI applies to the perf suite.
 
-The ``ok`` verdict requires: zero delta fallbacks anywhere, the
+The report's gates require: zero delta fallbacks anywhere, the
 hierarchical search at least matching flat rounds/sec (medians of
 :data:`PLANNER_TIMING_REPEATS` replays) at every size at or above
-:data:`HIER_MUST_WIN_GPUS`, decision identity *or* the quality
-gate at every size, and every kernel-events figure above the floor with
-its dispatch trace in key order.
+:data:`HIER_MUST_WIN_GPUS`, the quality ratio within
+:data:`QUALITY_RTOL` at every size (identical decisions give exactly
+1.0), positive engine steps/sec wherever the engine runs, and every
+kernel-events figure above the floor with its dispatch trace in key
+order.
 ``python -m repro scale --smoke`` runs the 64- and 1024-device columns
 in CI; the committed ``BENCH_scale.json`` records the full sweep.
 """
@@ -49,8 +51,8 @@ from repro.bench.harness import cluster_for
 from repro.bench.perf import (
     KERNEL_EVENTS_PER_SEC_FLOOR,
     kernel_events_benchmark,
-    write_report,
 )
+from repro.bench.reporting import Report, gate
 from repro.cluster.profiler import Profiler
 from repro.cluster.topology import ClusterTopology
 from repro.config import (
@@ -330,12 +332,12 @@ def kernel_events_scale_benchmark(
     return result
 
 
-def scale_suite(smoke: bool = False, seed: int = 0) -> dict[str, object]:
+def scale_suite(smoke: bool = False, seed: int = 0) -> Report:
     """The full datacenter-scale sweep report.
 
     ``smoke`` keeps the 64- and 1024-device columns (seconds, not
-    minutes) without changing the structure; CI gates on the ``ok``
-    marker and the kernel events/sec floor.
+    minutes) without changing the structure; CI gates on the report's
+    gates, one per condition and size (``1024gpu.planner.speedup``).
     """
     sizes = SMOKE_SIZES if smoke else SWEEP_SIZES
     num_steps = 3 if smoke else 4
@@ -368,46 +370,40 @@ def scale_suite(smoke: bool = False, seed: int = 0) -> dict[str, object]:
         + float(e["engine"].get("fallbacks", 0.0))
         for e in entries
     )
-    hier_wins = all(
-        float(e["planner"]["speedup"]) >= 1.0
-        for e in entries
-        if e["num_gpus"] >= HIER_MUST_WIN_GPUS
+    gates = {"total_fallbacks": gate(fallbacks, "==", 0.0)}
+    for e in entries:
+        size = f"{e['num_gpus']}gpu"
+        planner, engine, events = e["planner"], e["engine"], e["kernel_events"]
+        if e["num_gpus"] >= HIER_MUST_WIN_GPUS:
+            gates[f"{size}.planner.speedup"] = gate(planner["speedup"], ">=", 1)
+        # Identical decisions price identically (ratio exactly 1.0), so
+        # the ratio alone carries the decision-identity-or-quality gate.
+        gates[f"{size}.planner.quality_ratio"] = gate(
+            planner["quality_ratio"], "<=", 1.0 + QUALITY_RTOL
+        )
+        if "skipped" not in engine:
+            gates[f"{size}.engine.steps_per_sec"] = gate(
+                engine["steps_per_sec"], ">", 0.0
+            )
+        gates[f"{size}.kernel_events.events_per_sec"] = gate(
+            events["events_per_sec"], ">=", KERNEL_EVENTS_PER_SEC_FLOOR
+        )
+        gates[f"{size}.kernel_events.trace_ordered"] = gate(
+            events["trace_ordered"], "==", True
+        )
+    return Report(
+        suite="scale",
+        payload={
+            "smoke": smoke,
+            "seed": seed,
+            "sizes": entries,
+            "hier_must_win_gpus": HIER_MUST_WIN_GPUS,
+            "engine_max_gpus": ENGINE_MAX_GPUS,
+            "events_per_sec_floor": KERNEL_EVENTS_PER_SEC_FLOOR,
+            "total_fallbacks": fallbacks,
+        },
+        gates=gates,
     )
-    quality_ok = all(
-        bool(e["planner"]["decisions_match"])
-        or bool(e["planner"]["quality_within_epsilon"])
-        for e in entries
-    )
-    events_ok = all(
-        float(e["kernel_events"]["events_per_sec"])
-        >= KERNEL_EVENTS_PER_SEC_FLOOR
-        and bool(e["kernel_events"]["trace_ordered"])
-        for e in entries
-    )
-    engines_ok = all(
-        "skipped" in e["engine"] or float(e["engine"]["steps_per_sec"]) > 0
-        for e in entries
-    )
-    ok = (
-        fallbacks == 0.0
-        and hier_wins
-        and quality_ok
-        and events_ok
-        and engines_ok
-    )
-    return {
-        "suite": "scale",
-        "smoke": smoke,
-        "seed": seed,
-        "sizes": entries,
-        "hier_must_win_gpus": HIER_MUST_WIN_GPUS,
-        "engine_max_gpus": ENGINE_MAX_GPUS,
-        "events_per_sec_floor": KERNEL_EVENTS_PER_SEC_FLOOR,
-        "total_fallbacks": fallbacks,
-        "hierarchical_wins_at_scale": bool(hier_wins),
-        "quality_ok": bool(quality_ok),
-        "ok": ok,
-    }
 
 
 __all__ = [
@@ -423,5 +419,4 @@ __all__ = [
     "engine_scale_benchmark",
     "kernel_events_scale_benchmark",
     "scale_suite",
-    "write_report",
 ]

@@ -15,9 +15,8 @@ keeps queues bounded -- the serving analogue of the paper's Figure 5
 gap. The SLO itself is ``slo_batches`` balanced batch times, i.e. "a
 request may wait a few batches, not a meltdown".
 
-The report's ``ok`` verdict (and the inverse ``regression`` marker CI
-greps for) requires the dynamic server to beat the static one on BOTH
-p99 latency and goodput.
+The report's two gates require the dynamic server to beat the static
+one on BOTH p99 latency and goodput.
 
 :func:`multitenant_run` (``python -m repro serve --multi-tenant``,
 ``BENCH_multitenant.json``) is the multi-tenant variant: an interactive
@@ -29,13 +28,12 @@ attainment and Jain fairness.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from repro.bench.harness import cluster_for
+from repro.bench.reporting import Report, gate
 from repro.cluster.events import ElasticitySchedule
 from repro.config import FaultConfig, MoEModelConfig
 from repro.core.trigger import NeverTrigger
@@ -142,16 +140,17 @@ class ServingRunResult:
     @property
     def ok(self) -> bool:
         """Dynamic placement strictly beats Static on p99 AND goodput."""
-        return (
-            self.flexmoe.p99 < self.static.p99
-            and self.flexmoe.goodput_tokens_per_s
-            > self.static.goodput_tokens_per_s
-        )
+        return self.summary().ok
 
-    def summary(self) -> dict[str, object]:
+    def summary(self) -> Report:
         flex, static = self.flexmoe, self.static
-        return {
-            "suite": "serving_latency",
+        gates = {
+            "flexmoe.p99_latency_s": gate(flex.p99, "<", static.p99),
+            "flexmoe.goodput_tokens_per_s": gate(
+                flex.goodput_tokens_per_s, ">", static.goodput_tokens_per_s
+            ),
+        }
+        payload = {
             "scenario": dict(self.scenario),
             "slo_latency_s": self.slo.latency_target,
             "flexmoe": flex.summary(),
@@ -164,9 +163,8 @@ class ServingRunResult:
                 if static.goodput_tokens_per_s > 0
                 else float("inf")
             ),
-            "ok": self.ok,
-            "regression": not self.ok,
         }
+        return Report("serving_latency", payload, gates)
 
 
 def serving_run(
@@ -313,16 +311,21 @@ class MultiTenantRunResult:
     def ok(self) -> bool:
         """Priority admission strictly beats FIFO on interactive-class
         SLO attainment without dropping below the fairness floor."""
-        return (
-            self.interactive_attainment(self.flexmoe)
-            > self.interactive_attainment(self.fifo)
-            and self.flexmoe.jain_fairness_index() >= self.fairness_floor
-        )
+        return self.summary().ok
 
-    def summary(self) -> dict[str, object]:
+    def summary(self) -> Report:
         flex, fifo = self.flexmoe, self.fifo
-        return {
-            "suite": "multitenant_serving",
+        gates = {
+            "interactive_attainment.flexmoe": gate(
+                self.interactive_attainment(flex),
+                ">",
+                self.interactive_attainment(fifo),
+            ),
+            "jain_fairness": gate(
+                flex.jain_fairness_index(), ">=", self.fairness_floor
+            ),
+        }
+        payload = {
             "scenario": dict(self.scenario),
             "tenants": [dict(row) for row in self.tenants],
             "flexmoe": flex.multitenant_summary(),
@@ -337,9 +340,8 @@ class MultiTenantRunResult:
             ),
             "jain_fairness": flex.jain_fairness_index(),
             "fairness_floor": self.fairness_floor,
-            "ok": self.ok,
-            "regression": not self.ok,
         }
+        return Report("multitenant_serving", payload, gates)
 
 
 def multitenant_run(
@@ -523,9 +525,3 @@ def multitenant_run(
         fairness_floor=fairness_floor,
     )
 
-
-def write_report(report: dict[str, object], path: str | Path) -> Path:
-    """Persist a serving report as machine-readable JSON."""
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path

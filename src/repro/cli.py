@@ -1,6 +1,6 @@
 """Command-line entry point: ``python -m repro``.
 
-Nine subcommands expose the simulation engine without writing any code:
+Ten subcommands expose the simulation engine without writing any code:
 
 * ``run``     — multi-layer pipelined FlexMoE run with an overlap-aware
   step-time breakdown and per-layer placement divergence;
@@ -15,6 +15,8 @@ Nine subcommands expose the simulation engine without writing any code:
   the delta-cost search, faults-scenario steps/sec, event throughput and
   telemetry overhead, gated on zero delta fallbacks, written to
   ``BENCH_step_overhead.json`` (see ``docs/performance.md``);
+* ``scale``   — the datacenter-scale sweep (64 to 4096 devices): planner,
+  engine and kernel throughput, written to ``BENCH_scale.json``;
 * ``serve``   — the online serving harness: an SLO-aware request stream
   (bursty/diurnal arrival, drifting topics) served by the dynamic
   FlexMoE server vs the frozen ``StaticServing`` baseline, with
@@ -43,11 +45,14 @@ Nine subcommands expose the simulation engine without writing any code:
 ``--trace-out PATH`` (write the same Chrome trace artifact for that run)
 and ``--telemetry`` (print the metrics-registry snapshot afterwards).
 
-The report-writing commands default ``--output`` to their canonical
-``BENCH_*.json`` and refuse to overwrite an existing one from anything
-but the canonical command (``--smoke`` included): such a run still
-executes and gates, but its report is discarded unless ``--output``
-names a path.
+The report-writing commands share one path (:func:`_report_command`):
+probe ``--output``, run the suite, stamp the report's provenance from
+the command line, write it, and print one line per named gate plus the
+verdict (schema in ``docs/performance.md``). They default ``--output``
+to their canonical ``BENCH_*.json`` and refuse to overwrite an existing
+one from anything but the canonical command (``--smoke`` included):
+such a run still executes and gates, but its report is discarded unless
+``--output`` names a path.
 
 Every benchmark in ``benchmarks/`` and example in ``examples/`` builds on
 the same harness functions these commands call, so the CLI is the quickest
@@ -62,9 +67,9 @@ import dataclasses
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.bench.harness import (
     SMOKE,
@@ -74,6 +79,7 @@ from repro.bench.harness import (
     quick_comparison,
     router_microbenchmark,
 )
+from repro.bench.reporting import Report, write_report
 from repro.config import FaultConfig
 from repro.exceptions import ReproError
 from repro.model.zoo import MODEL_ZOO
@@ -107,16 +113,11 @@ def _add_telemetry_flags(p: argparse.ArgumentParser) -> None:
 
 
 @contextmanager
-def _telemetry_scope(
-    args: argparse.Namespace, force: bool = False
-) -> Iterator[object]:
+def _telemetry_scope(args: argparse.Namespace) -> Iterator[object]:
     """An active telemetry session when ``--trace-out``/``--telemetry``
-    ask for one (or ``force``), else ``None`` -- so default runs stay on
-    the telemetry-disabled fast path."""
-    wanted = force or bool(
-        getattr(args, "trace_out", None) or getattr(args, "telemetry", False)
-    )
-    if not wanted:
+    ask for one, else ``None`` -- so default runs stay on the
+    telemetry-disabled fast path."""
+    if not (getattr(args, "trace_out", None) or getattr(args, "telemetry", False)):
         yield None
         return
     from repro import telemetry
@@ -336,8 +337,7 @@ def _add_scale_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument(
         "--smoke",
         action="store_true",
-        help="64- and 1024-device columns only (what CI runs); fails "
-        "unless the ok marker holds",
+        help="64- and 1024-device columns only (what CI runs)",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -423,7 +423,7 @@ def _add_serve_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument(
         "--smoke",
         action="store_true",
-        help="fixed CI scenario; fails on any SLO-comparison regression",
+        help="fixed CI scenario; fails unless every gate holds",
     )
     p.add_argument(
         "--output",
@@ -476,7 +476,7 @@ def _add_scenario_parser(sub: argparse._SubParsersAction) -> None:
         "--smoke",
         action="store_true",
         help="CI-scale scenario (shared smoke-duration policy); fails "
-        "unless the ok marker holds",
+        "unless every gate holds",
     )
     p.add_argument(
         "--output",
@@ -507,7 +507,7 @@ def _add_churn_parser(sub: argparse._SubParsersAction) -> None:
         "--smoke",
         action="store_true",
         help="CI-scale matrix (shared smoke-duration policy); fails "
-        "unless the ok marker holds",
+        "unless every gate holds",
     )
     p.add_argument(
         "--output",
@@ -552,7 +552,7 @@ def _add_trace_parser(sub: argparse._SubParsersAction) -> None:
     p.add_argument(
         "--smoke",
         action="store_true",
-        help="CI-scale scenario; fails unless the ok marker holds",
+        help="CI-scale scenario; fails unless every gate holds",
     )
     p.add_argument(
         "--output",
@@ -824,232 +824,95 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.bench.perf import perf_suite, write_report
+def _exit_status(args: argparse.Namespace, ok: bool) -> int:
+    """The one exit-status rule of the report commands: ``perf`` and
+    ``scale`` always follow the verdict; the others follow it only under
+    ``--smoke`` (custom scenarios may legitimately miss a gate)."""
+    gated = args.command in ("perf", "scale") or args.smoke
+    return 1 if gated and not ok else 0
 
+
+def _emit(args: argparse.Namespace, report: Report, written: str) -> int:
+    """Print a report (its JSON, or its gate table plus the verdict
+    footer and where it went) and return the command's exit status."""
+    if args.json:
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    else:
+        label = args.command
+        if getattr(args, "multi_tenant", False):
+            label += " multi-tenant"
+        if args.smoke:
+            label += " smoke"
+        print(report.gate_table())
+        print(f"{label}: {'OK' if report.ok else 'FAILED'}")
+        print(written)
+    return _exit_status(args, report.ok)
+
+
+def _report_command(
+    args: argparse.Namespace, run: Callable[[], Report]
+) -> int:
+    """Probe ``--output``, run the suite, stamp its provenance, write the
+    report and emit it.
+
+    The probe fails an unwritable ``--output`` in milliseconds rather
+    than after a suite that runs for seconds to minutes; a failure after
+    it never leaves the empty probe file behind as a report.
+    """
     output = Path(args.output)
     probe_created = not output.exists()
-
-    def _remove_empty_probe() -> None:
-        # A failure after the probe must not leave the empty probe file
-        # behind masquerading as a report.
-        if probe_created:
-            try:
-                if output.stat().st_size == 0:
-                    output.unlink()
-            except OSError:
-                pass
-
     try:
-        # Probe the report path up front: the suite runs for minutes and
-        # an unwritable --output should fail in milliseconds, not after.
         with open(output, "a", encoding="utf-8"):
             pass
-        report = perf_suite(smoke=args.smoke, seed=args.seed)
+        with _telemetry_scope(args) as tel:
+            report = run()
+        report = report.stamp(args.argv, smoke=args.smoke, seed=args.seed)
         path = write_report(report, output)
     except OSError as exc:
-        _remove_empty_probe()
         print(f"error: cannot write report to {args.output}: {exc}",
               file=sys.stderr)
         return 2
-    except BaseException:
-        _remove_empty_probe()
-        raise
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0 if report["ok"] else 1
-
-    planner = report["planner"]
-    print(
-        f"planner   delta {planner['delta_rounds_per_sec']:8.1f} rounds/s"
-    )
-    allocation = planner["allocation"]
-    print(
-        f"alloc     tracemalloc peak {allocation['tracemalloc_peak_kb']:8.0f} "
-        f"KiB  retained {allocation['live_blocks_per_step']:7.0f} blocks/step  "
-        f"peak RSS {allocation['peak_rss_kb'] / 1024.0:7.0f} MiB"
-    )
-    faults = report["faults"]
-    print(
-        f"faults    {faults['steps_per_sec']:8.1f} steps/s, "
-        f"{int(faults['flexmoe_actions'])} FlexMoE actions"
-    )
-    serving_events = report["serving_events"]
-    print(
-        f"serving   events {serving_events['events_per_sec']:8.0f} events/s "
-        f"(floor {serving_events['events_per_sec_floor']:.0f})"
-    )
-    kernel_events = report["kernel_events"]
-    print(
-        f"kernel    events {kernel_events['events_per_sec']:8.0f} events/s "
-        f"(floor {kernel_events['events_per_sec_floor']:.0f}), trace "
-        f"{'ordered' if kernel_events['trace_ordered'] else 'OUT OF ORDER'}"
-    )
-    overhead = report["telemetry_overhead"]
-    print(
-        f"telemetry disabled {overhead['disabled_steps_per_sec']:8.1f} steps/s "
-        f"vs enabled {overhead['enabled_steps_per_sec']:8.1f} steps/s "
-        f"({overhead['enabled_overhead_pct']:+.2f}% median paired overhead, "
-        f"{int(overhead['enabled_trace_events'])} trace events), simulation "
-        f"{'identical' if overhead['simulated_results_match'] else 'DIVERGED'}"
-    )
-    # Planner evaluator counters straight from the telemetry snapshot --
-    # the report carries them in registry schema (see
-    # docs/observability.md).
-    counters = report["telemetry"]["metrics"]["counters"]
-    print(
-        f"delta     rebases {int(counters['delta.rebases'])}  "
-        f"evaluations {int(counters['delta.evaluations'])}"
-    )
-    print(
-        f"delta fallbacks to full recompute: {int(report['total_fallbacks'])}"
-    )
-    print(f"report written to {path}")
-    print("perf:", "OK" if report["ok"] else "FAILED")
-    return 0 if report["ok"] else 1
-
-
-def _cmd_scale(args: argparse.Namespace) -> int:
-    from repro.bench.scale import scale_suite, write_report
-
-    output = Path(args.output)
-    probe_created = not output.exists()
-
-    def _remove_empty_probe() -> None:
-        # A failure after the probe must not leave the empty probe file
-        # behind masquerading as a report.
+    finally:
         if probe_created:
-            try:
+            with suppress(OSError):
                 if output.stat().st_size == 0:
                     output.unlink()
-            except OSError:
-                pass
-
-    try:
-        # Probe the report path up front: the full sweep runs for
-        # minutes and an unwritable --output should fail in
-        # milliseconds, not after.
-        with open(output, "a", encoding="utf-8"):
-            pass
-        report = scale_suite(smoke=args.smoke, seed=args.seed)
-        path = write_report(report, output)
-    except OSError as exc:
-        _remove_empty_probe()
-        print(f"error: cannot write report to {args.output}: {exc}",
-              file=sys.stderr)
-        return 2
-    except BaseException:
-        _remove_empty_probe()
-        raise
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0 if report["ok"] else 1
-
-    for entry in report["sizes"]:
-        planner = entry["planner"]
-        engine = entry["engine"]
-        events = entry["kernel_events"]
-        if "skipped" in engine:
-            engine_col = "engine --------- (spill batch)"
-        else:
-            engine_col = f"engine {engine['steps_per_sec']:7.2f} steps/s"
-        print(
-            f"{entry['num_gpus']:>5} GPUs x {entry['num_experts']:>3}E x "
-            f"{entry['num_moe_layers']:>2}L  "
-            f"planner hier {planner['hierarchical_rounds_per_sec']:8.2f} "
-            f"vs flat {planner['flat_rounds_per_sec']:8.2f} rounds/s "
-            f"({planner['speedup']:.2f}x, "
-            f"{'identical' if planner['decisions_match'] else 'quality ' + format(planner['quality_ratio'], '.4f')})  "
-            f"{engine_col}  "
-            f"kernel {events['events_per_sec']:9.0f} events/s"
-        )
-    print(
-        f"hierarchical wins at >= {report['hier_must_win_gpus']} GPUs: "
-        f"{'yes' if report['hierarchical_wins_at_scale'] else 'NO'}; "
-        f"delta fallbacks: {int(report['total_fallbacks'])}"
-    )
-    print(f"report written to {path}")
-    print("scale:", "OK" if report["ok"] else "FAILED")
-    return 0 if report["ok"] else 1
-
-
-def _cmd_serve_multitenant(args: argparse.Namespace) -> int:
-    from repro.bench.serving import multitenant_run, write_report
-
-    num_requests = 200 if args.smoke else args.requests
-    seed = 0 if args.smoke else args.seed
-    # Smoke pins the CI scenario: 2 layers x 16 experts on 8 GPUs, one
-    # interactive tenant against two batch tenants near saturation.
-    with _telemetry_scope(args) as tel:
-        result = multitenant_run(num_requests=num_requests, seed=seed)
-    summary = result.summary()
-    try:
-        path = write_report(summary, Path(args.output))
-    except OSError as exc:
-        print(f"error: cannot write report to {args.output}: {exc}",
-              file=sys.stderr)
-        return 2
     emit_rc = _emit_telemetry(args, tel, quiet=args.json)
     if emit_rc:
         return emit_rc
-    ok = bool(summary["ok"]) or not args.smoke
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0 if ok else 1
+    return _emit(args, report, f"report written to {path}")
 
-    scenario = summary["scenario"]
-    print(
-        f"multi-tenant serving: {scenario['num_moe_layers']} MoE layers x "
-        f"{scenario['num_experts']} experts on {scenario['num_gpus']} GPUs, "
-        f"{scenario['num_requests']} requests across "
-        f"{len(summary['tenants'])} tenants (load {scenario['load']:.2f}, "
-        f"{scenario['rate_rps']:.0f} req/s calibrated)"
+
+def _cmd_suite(args: argparse.Namespace) -> int:
+    """``perf``, ``scale`` and ``churn``: suites set by ``--smoke`` and
+    ``--seed`` alone."""
+    from repro.bench import churn, perf, scale
+
+    suite = {
+        "perf": perf.perf_suite,
+        "scale": scale.scale_suite,
+        "churn": churn.churn_bench_run,
+    }[args.command]
+    return _report_command(
+        args, lambda: suite(smoke=args.smoke, seed=args.seed)
     )
-    for row in summary["tenants"]:
-        print(
-            f"  tenant {row['name']:<8} class={row['class']:<11} "
-            f"priority={row['priority']:>2} weight={row['weight']:g} "
-            f"requests={row['num_requests']}"
-        )
-    print(
-        f"  {'server':<22} {'class':<11} {'SLO':>9} {'SLO-att':>8} "
-        f"{'served':>7} {'rejected':>8}"
-    )
-    for name, key in (
-        ("FlexMoE+priority", "flexmoe"),
-        ("Static+FIFO", "fifo"),
-    ):
-        for cls_name, s in sorted(summary[key]["per_class"].items()):
-            print(
-                f"  {name:<22} {cls_name:<11} "
-                f"{1e3 * s['slo_latency_s']:>7.3f}ms "
-                f"{s['slo_attainment']:>8.3f} "
-                f"{int(s['requests_served']):>7} "
-                f"{int(s['requests_rejected']):>8}"
-            )
-    print(
-        f"  interactive attainment: FlexMoE+priority "
-        f"{summary['interactive_attainment']['flexmoe']:.3f} vs Static+FIFO "
-        f"{summary['interactive_attainment']['fifo']:.3f} "
-        f"(gain {summary['attainment_gain']:+.3f})"
-    )
-    print(
-        f"  Jain fairness (FlexMoE+priority): "
-        f"{summary['jain_fairness']:.3f} (floor "
-        f"{summary['fairness_floor']:.2f}), preemptions "
-        f"{int(summary['flexmoe']['preemptions'])}"
-    )
-    print(f"  report written to {path}")
-    if args.smoke:
-        print("serve multi-tenant smoke:", "OK" if ok else "FAILED")
-    return 0 if ok else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.bench.serving import serving_run, write_report
+    from repro.bench.serving import multitenant_run, serving_run
 
     if args.multi_tenant:
-        return _cmd_serve_multitenant(args)
+        if args.smoke:
+            # The CI scenario: 2 layers x 16 experts on 8 GPUs, one
+            # interactive tenant against two batch tenants near
+            # saturation.
+            args.requests, args.seed = 200, 0
+        return _report_command(
+            args,
+            lambda: multitenant_run(
+                num_requests=args.requests, seed=args.seed
+            ).summary(),
+        )
     if args.smoke:
         # Fixed scenario CI gates on: skewed bursty stream near
         # saturation, no faults. Must show dynamic placement strictly
@@ -1081,11 +944,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             recovery_steps=recover if recover > 0 else None,
             seed=args.seed,
         )
-    # serve always runs under a session: the latency table below is read
-    # from the metrics registry the engines publish into, not from
-    # report internals (tracing only when --trace-out asks for it).
-    with _telemetry_scope(args, force=True) as tel:
-        result = serving_run(
+    return _report_command(
+        args,
+        lambda: serving_run(
             num_moe_layers=args.layers,
             num_gpus=args.gpus,
             num_experts=args.experts,
@@ -1100,65 +961,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             num_topics=args.topics,
             faults=faults,
             seed=args.seed,
-        )
-    summary = result.summary()
-    try:
-        path = write_report(summary, Path(args.output))
-    except OSError as exc:
-        print(f"error: cannot write report to {args.output}: {exc}",
-              file=sys.stderr)
-        return 2
-    emit_rc = _emit_telemetry(args, tel, quiet=args.json)
-    if emit_rc:
-        return emit_rc
-    ok = bool(summary["ok"]) or not args.smoke
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0 if ok else 1
-
-    scenario = summary["scenario"]
-    print(
-        f"serving: {args.layers} MoE layers x {args.experts} experts on "
-        f"{args.gpus} GPUs, {args.requests} requests ({args.arrival} "
-        f"arrival, load {args.load:.2f}, "
-        f"{scenario['rate_rps']:.0f} req/s calibrated)"
+        ).summary(),
     )
-    print(
-        f"  SLO: {1e3 * summary['slo_latency_s']:.3f} ms per request "
-        f"({args.slo_batches:g} balanced batches)"
-    )
-    print(
-        f"  {'server':<16} {'p50':>9} {'p95':>9} {'p99':>9} "
-        f"{'goodput':>12} {'SLO-att':>8} {'actions':>8}"
-    )
-    gauges = tel.registry.snapshot()["gauges"]
-
-    def _gauge(metric: str, engine: str) -> float:
-        from repro.telemetry import metric_key
-
-        return float(gauges[metric_key(f"serving.{metric}", engine=engine)])
-
-    for name in ("FlexMoE-serving", "StaticServing"):
-        print(
-            f"  {name:<16} {1e3 * _gauge('p50_latency_s', name):>7.3f}ms "
-            f"{1e3 * _gauge('p95_latency_s', name):>7.3f}ms "
-            f"{1e3 * _gauge('p99_latency_s', name):>7.3f}ms "
-            f"{_gauge('goodput_tokens_per_s', name):>10.0f}/s "
-            f"{_gauge('slo_attainment', name):>8.3f} "
-            f"{int(_gauge('placement_actions', name)):>8}"
-        )
-    print(
-        f"  p99 speedup over Static: {summary['p99_speedup']:.2f}x, "
-        f"goodput gain: {summary['goodput_gain']:.2f}x"
-    )
-    print(f"  report written to {path}")
-    if args.smoke:
-        print("serve smoke:", "OK" if ok else "FAILED")
-    return 0 if ok else 1
 
 
-def _cmd_scenario(args: argparse.Namespace) -> int:
-    from repro.bench.serving import write_report
+def _composed_run(args: argparse.Namespace) -> Report:
+    """The composed kernel scenario ``scenario`` and ``trace`` run."""
     from repro.sim.composed import ComposedScenarioConfig, composed_scenario_run
 
     config = ComposedScenarioConfig(
@@ -1168,189 +976,80 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
         num_requests=args.requests,
         load=args.load,
         num_failures=args.failures,
-        budget_bandwidth=args.budget_bandwidth,
+        budget_bandwidth=getattr(
+            args, "budget_bandwidth", ComposedScenarioConfig.budget_bandwidth
+        ),
         seed=args.seed,
     )
-    with _telemetry_scope(args) as tel:
-        summary = composed_scenario_run(smoke=args.smoke, config=config)
-    try:
-        path = write_report(summary, Path(args.output))
-    except OSError as exc:
-        print(f"error: cannot write report to {args.output}: {exc}",
-              file=sys.stderr)
-        return 2
-    emit_rc = _emit_telemetry(args, tel, quiet=args.json)
-    if emit_rc:
-        return emit_rc
-    ok = bool(summary["ok"]) or not args.smoke
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0 if ok else 1
-
-    scenario = summary["scenario"]
-    serving = summary["serving"]
-    print(
-        f"composed scenario: {scenario['num_moe_layers']} MoE layers x "
-        f"{scenario['num_experts']} experts on {scenario['num_gpus']} GPUs, "
-        f"{scenario['num_requests']} requests (diurnal arrival, load "
-        f"{scenario['load']:.2f}, {scenario['rate_rps']:.0f} req/s calibrated)"
-    )
-    print(
-        f"  one kernel, three sources: serving stream + "
-        f"{scenario['num_failures']} timed device outage(s) + migration "
-        f"budget at {100 * scenario['budget_bandwidth']:.0f}% bandwidth "
-        f"every {1e3 * scenario['budget_interval_s']:.3f} ms"
-    )
-    print("  cluster events (wall-clock, not batch-quantized):")
-    for event in summary["cluster_events"]:
-        print(
-            f"    t={1e3 * event['time_s']:9.3f} ms  {event['kind']:<8} "
-            f"gpu {event['gpu']}"
-        )
-    print(
-        f"  served {int(serving['requests_served'])} requests in "
-        f"{int(serving['num_batches'])} batches "
-        f"(p99 {1e3 * serving['p99_latency_s']:.3f} ms, SLO attainment "
-        f"{serving['slo_attainment']:.3f}, goodput "
-        f"{serving['goodput_tokens_per_s']:.0f} tokens/s)"
-    )
-    print(
-        f"  migration budget: {summary['budget_grants']} grants committed "
-        f"{summary['budget_committed_actions']} placement actions "
-        f"(in-step commits are deferred in this scenario)"
-    )
-    print(
-        f"  kernel processed {summary['processed_events']} events; experts "
-        f"survive: {'yes' if summary['experts_survive'] else 'NO'}"
-    )
-    print(f"  report written to {path}")
-    if args.smoke:
-        print("scenario smoke:", "OK" if ok else "FAILED")
-    return 0 if ok else 1
+    return composed_scenario_run(smoke=args.smoke, config=config)
 
 
-def _cmd_churn(args: argparse.Namespace) -> int:
-    from repro.bench.churn import churn_bench_run, write_churn_report
-
-    with _telemetry_scope(args) as tel:
-        report = churn_bench_run(smoke=args.smoke, seed=args.seed)
-    try:
-        path = write_churn_report(report, Path(args.output))
-    except OSError as exc:
-        print(f"error: cannot write report to {args.output}: {exc}",
-              file=sys.stderr)
-        return 2
-    emit_rc = _emit_telemetry(args, tel, quiet=args.json)
-    if emit_rc:
-        return emit_rc
-    ok = bool(report["ok"]) or not args.smoke
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 0 if ok else 1
-
-    print(
-        "autoscale churn: paired autoscaled-vs-fixed serving under "
-        "correlated spot revocations"
-    )
-    for name, row in report["rows"].items():
-        fixed = row["fixed"]
-        autoscaled = row["autoscaled"]
-        controller = autoscaled["autoscaler"]
-        print(
-            f"  {name:<14} attainment {fixed['slo_attainment']:.3f} -> "
-            f"{autoscaled['slo_attainment']:.3f} "
-            f"(gain {row['attainment_gain']:+.3f}); cost-weighted goodput "
-            f"{fixed['cost_weighted_goodput']:.0f} -> "
-            f"{autoscaled['cost_weighted_goodput']:.0f} tokens/device-s; "
-            f"{controller['scale_ups']} scale-ups"
-        )
-    degradation = report["degradation"]
-    per_class_on = degradation["shed_on"]["serving"]["per_class"]
-    per_class_off = degradation["shed_off"]["serving"]["per_class"]
-    print(
-        "  degradation pair (capacity loss, shed off -> on): interactive "
-        f"{per_class_off['interactive']['slo_attainment']:.3f} -> "
-        f"{per_class_on['interactive']['slo_attainment']:.3f}, batch "
-        f"{per_class_off['batch']['slo_attainment']:.3f} -> "
-        f"{per_class_on['batch']['slo_attainment']:.3f}, "
-        f"{int(degradation['shed_on']['serving']['shed_requests'])} "
-        "batch-class requests shed (tracked, none silently dropped)"
-    )
-    print(f"  report written to {path}")
-    if args.smoke:
-        print("churn smoke:", "OK" if ok else "FAILED")
-    return 0 if ok else 1
+def _cmd_scenario(args: argparse.Namespace) -> int:
+    return _report_command(args, lambda: _composed_run(args))
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro import telemetry
-    from repro.sim.composed import ComposedScenarioConfig, composed_scenario_run
 
-    config = ComposedScenarioConfig(
-        num_moe_layers=args.layers,
-        num_gpus=args.gpus,
-        num_experts=args.experts,
-        num_requests=args.requests,
-        load=args.load,
-        num_failures=args.failures,
-        seed=args.seed,
-    )
     with telemetry.session(reuse=False) as tel:
-        summary = composed_scenario_run(smoke=args.smoke, config=config)
+        report = _composed_run(args)
         try:
             path = tel.write(Path(args.output))
         except OSError as exc:
             print(f"error: cannot write trace to {args.output}: {exc}",
                   file=sys.stderr)
             return 2
-        events = tel.tracer.events if tel.tracer is not None else []
+        events = len(tel.tracer.events) if tel.tracer is not None else 0
         kinds = dict(sorted(tel.timeline.kinds().items()))
         num_series = len(tel.registry)
-    ok = bool(summary["ok"]) or not args.smoke
+    report = report.stamp(args.argv, smoke=args.smoke, seed=args.seed)
     if args.json:
         print(json.dumps(
             {
-                "scenario": summary,
+                "scenario": report.to_dict(),
                 "trace_path": str(path),
-                "trace_events": len(events),
+                "trace_events": events,
                 "timeline_kinds": kinds,
                 "metric_series": num_series,
             },
             indent=2, sort_keys=True,
         ))
-        return 0 if ok else 1
-
-    scenario = summary["scenario"]
-    serving = summary["serving"]
-    print(
-        f"traced composed scenario: {scenario['num_moe_layers']} MoE layers "
-        f"x {scenario['num_experts']} experts on {scenario['num_gpus']} "
-        f"GPUs, {scenario['num_requests']} requests, "
-        f"{scenario['num_failures']} timed outage(s)"
+        return _exit_status(args, report.ok)
+    return _emit(
+        args,
+        report,
+        f"trace written to {path} ({events} trace events, "
+        f"{sum(kinds.values())} decision-timeline entries, {num_series} "
+        "metric series; open in Perfetto: ui.perfetto.dev)",
     )
-    print(
-        f"  served {int(serving['requests_served'])} requests "
-        f"(SLO attainment {serving['slo_attainment']:.3f}); kernel "
-        f"processed {summary['processed_events']} events"
-    )
-    print(
-        f"  captured {len(events)} trace events, "
-        f"{sum(kinds.values())} decision-timeline entries, "
-        f"{num_series} metric series"
-    )
-    print(
-        "  decisions: "
-        + "  ".join(f"{kind}={count}" for kind, count in kinds.items())
-    )
-    print(f"  trace written to {path} (open in Perfetto: ui.perfetto.dev)")
-    if args.smoke:
-        print("trace smoke:", "OK" if ok else "FAILED")
-    return 0 if ok else 1
 
 
-def _resolve_report_output(
+def _report_argv(
     parser: argparse.ArgumentParser, args: argparse.Namespace
-) -> str | None:
+) -> tuple[str, ...]:
+    """The arguments that determine this run's results: the command,
+    then every option that differs from its default, in parser order.
+
+    ``--output``, ``--json`` and the telemetry flags only route output
+    (telemetry is observation-inert), so they never appear. This is what
+    a report's ``provenance.argv`` records.
+    """
+    defaults = vars(parser.parse_args([args.command]))
+    argv = [args.command]
+    for key, value in vars(args).items():
+        if key in _OUTPUT_ONLY or defaults.get(key) == value:
+            continue
+        argv.append("--" + key.replace("_", "-"))
+        if value is not True:
+            argv.append(str(value))
+    return tuple(argv)
+
+
+#: Options that route a command's output without changing its results.
+_OUTPUT_ONLY = frozenset({"output", "json", "trace_out", "telemetry"})
+
+
+def _resolve_report_output(args: argparse.Namespace) -> str | None:
     """Default ``--output`` to the command's canonical ``BENCH_*.json``.
 
     When that file exists and the arguments differ from the canonical
@@ -1360,21 +1059,16 @@ def _resolve_report_output(
     """
     if getattr(args, "output", "") is not None:
         return None
-    argv = (args.command,)
+    canonical = (args.command,)
     if getattr(args, "multi_tenant", False):
-        argv += ("--multi-tenant",)
-    name = CANONICAL_REPORTS.get(argv)
+        canonical += ("--multi-tenant",)
+    name = CANONICAL_REPORTS.get(canonical)
     if name is None:
         return None
     args.output = name
-    canonical = vars(parser.parse_args(argv))
-    changed = sorted(
-        "--" + key.replace("_", "-")
-        for key, value in vars(args).items()
-        if key not in ("output", "json") and canonical.get(key) != value
-    )
-    if changed and Path(name).exists():
+    if args.argv != canonical and Path(name).exists():
         args.output = os.devnull
+        changed = [a for a in args.argv[len(canonical):] if a[:2] == "--"]
         return (
             f"refusing to overwrite the canonical {name} from "
             f"non-default arguments ({', '.join(changed)}); this report "
@@ -1386,7 +1080,8 @@ def _resolve_report_output(
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    refusal = _resolve_report_output(parser, args)
+    args.argv = _report_argv(parser, args)
+    refusal = _resolve_report_output(args)
     if refusal is not None:
         print(f"note: {refusal}", file=sys.stderr)
     handlers = {
@@ -1394,11 +1089,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "bench": _cmd_bench,
         "compare": _cmd_compare,
         "faults": _cmd_faults,
-        "perf": _cmd_perf,
-        "scale": _cmd_scale,
+        "perf": _cmd_suite,
+        "scale": _cmd_suite,
         "serve": _cmd_serve,
         "scenario": _cmd_scenario,
-        "churn": _cmd_churn,
+        "churn": _cmd_suite,
         "trace": _cmd_trace,
     }
     try:

@@ -24,9 +24,9 @@ provisioned device-seconds -- an autoscaler that simply holds every
 standby device hot pays for it.
 
 ``churn_scenario_run`` wraps the pair for the CLI and CI
-(``BENCH_autoscale_churn.json``): the ``ok`` marker requires the
-autoscaled run to *strictly* beat the fixed pool on SLO attainment under
-churn. See ``docs/autoscaling.md``.
+(``BENCH_autoscale_churn.json``): its ``attainment_gain`` gate requires
+the autoscaled run to *strictly* beat the fixed pool on SLO attainment
+under churn. See ``docs/autoscaling.md``.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.bench.harness import cluster_for
+from repro.bench.reporting import Report, gate
 from repro.bench.serving import probe_batch_seconds
 from repro.cluster.events import ClusterEvent, ElasticitySchedule
 from repro.config import MoEModelConfig
@@ -596,11 +597,11 @@ def churn_scenario_run(
     smoke: bool = False,
     seed: int = 0,
     config: ChurnScenarioConfig | None = None,
-) -> dict[str, object]:
-    """Run the paired autoscaled-vs-fixed experiment; machine-readable.
+) -> Report:
+    """Run the paired autoscaled-vs-fixed experiment; returns its report.
 
-    Deterministic under a fixed seed. The ``ok`` marker (CI gates on it)
-    requires genuine churn (every wave delivered, devices actually
+    Deterministic under a fixed seed. The gates (CI gates on them)
+    require genuine churn (every wave delivered, devices actually
     revoked), full request accounting in both arms, surviving experts in
     both arms, real controller activity (scale-ups, and notice reactions
     when a notice window is configured) -- and the autoscaled arm
@@ -613,32 +614,52 @@ def churn_scenario_run(
     fixed, provenance = _run_arm(config, autoscale=False)
     autoscaled, _ = _run_arm(config, autoscale=True)
     controller = autoscaled["autoscaler"]
-    expected_revoked = config.num_waves * config.wave_size
     gain = autoscaled["slo_attainment"] - fixed["slo_attainment"]
-    ok = (
-        fixed["waves_applied"] == config.num_waves
-        and fixed["devices_revoked"] == expected_revoked
-        and fixed["requests_unaccounted"] == 0
-        and autoscaled["requests_unaccounted"] == 0
-        and fixed["experts_survive"]
-        and autoscaled["experts_survive"]
-        and (config.standby_gpus == 0 or controller["scale_ups"] > 0)
-        and (config.notice_fraction == 0 or controller["notices"] > 0)
-        and autoscaled["device_seconds"] > 0
-        and fixed["device_seconds"] > 0
-        and gain > 0
+    gates = {
+        "fixed.waves_applied": gate(
+            fixed["waves_applied"], "==", config.num_waves
+        ),
+        "fixed.devices_revoked": gate(
+            fixed["devices_revoked"],
+            "==",
+            config.num_waves * config.wave_size,
+        ),
+        "fixed.requests_unaccounted": gate(
+            fixed["requests_unaccounted"], "==", 0
+        ),
+        "autoscaled.requests_unaccounted": gate(
+            autoscaled["requests_unaccounted"], "==", 0
+        ),
+        "fixed.experts_survive": gate(fixed["experts_survive"], "==", True),
+        "autoscaled.experts_survive": gate(
+            autoscaled["experts_survive"], "==", True
+        ),
+    }
+    if config.standby_gpus > 0:
+        gates["autoscaled.autoscaler.scale_ups"] = gate(
+            controller["scale_ups"], ">", 0
+        )
+    if config.notice_fraction != 0:
+        gates["autoscaled.autoscaler.notices"] = gate(
+            controller["notices"], ">", 0
+        )
+    gates["autoscaled.device_seconds"] = gate(
+        autoscaled["device_seconds"], ">", 0
     )
+    gates["fixed.device_seconds"] = gate(fixed["device_seconds"], ">", 0)
+    gates["attainment_gain"] = gate(gain, ">", 0)
     scenario = dataclasses.asdict(config)
     scenario["standby_speed_factors"] = list(config.standby_speed_factors)
     scenario["total_gpus"] = config.total_gpus
-    return {
-        "suite": "autoscale_churn",
-        "smoke": smoke,
-        "scenario": scenario,
-        "provenance": provenance,
-        "fixed": fixed,
-        "autoscaled": autoscaled,
-        "attainment_gain": gain,
-        "ok": ok,
-        "regression": not ok,
-    }
+    return Report(
+        suite="autoscale_churn",
+        payload={
+            "smoke": smoke,
+            "scenario": scenario,
+            "provenance": provenance,
+            "fixed": fixed,
+            "autoscaled": autoscaled,
+            "attainment_gain": gain,
+        },
+        gates=gates,
+    )

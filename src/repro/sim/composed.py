@@ -15,8 +15,8 @@ express:
   grants a metered fraction of link time.
 
 :func:`composed_scenario_run` wraps it for the CLI and CI: a seeded,
-deterministic run with an ``ok`` marker asserting that every source
-actually fired and the placements survived the turbulence.
+deterministic run whose report gates that every source actually fired
+and the placements survived the turbulence.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bench.harness import cluster_for
+from repro.bench.reporting import Report, gate
 from repro.bench.serving import probe_batch_seconds
 from repro.cluster.events import ClusterEvent, ElasticitySchedule
 from repro.config import MoEModelConfig
@@ -267,11 +268,11 @@ def composed_scenario_run(
     smoke: bool = False,
     seed: int = 0,
     config: ComposedScenarioConfig | None = None,
-) -> dict[str, object]:
-    """Run the composed scenario and return the machine-readable report.
+) -> Report:
+    """Run the composed scenario and return its report.
 
-    Deterministic under a fixed seed. The ``ok`` marker (CI gates on it)
-    requires every source to have genuinely fired: requests served,
+    Deterministic under a fixed seed. The gates (CI gates on them)
+    require every source to have genuinely fired: requests served,
     every timed cluster event delivered, bandwidth grants issued AND
     placement actions committed through them, and no expert left without
     a live replica.
@@ -297,40 +298,42 @@ def composed_scenario_run(
     # every action that reached an ACTIVE placement, whether the commit
     # happened in-step or through a budget grant. With stream_budget=0
     # the serving report's own counter stays at zero and the budget
-    # source accounts for everything; the reconciliation below pins that
+    # source accounts for everything; the reconciliation gate pins that
     # the three counters never drift apart.
     total_committed = engine.committed_actions
-    actions_reconciled = (
-        total_committed
-        == handles.budget.committed + report.placement_actions
-    )
-    ok = (
-        len(report.records) > 0
-        and unaccounted == 0
-        and events_applied == 2 * config.num_failures
-        and handles.budget.grants > 0
-        and (config.num_failures == 0 or handles.budget.committed > 0)
-        and actions_reconciled
-        and _experts_survive(engine)
-    )
-    return {
-        "suite": "composed_scenario",
-        "smoke": smoke,
-        "scenario": handles.provenance,
-        "serving": report.summary(),
-        "cluster_events": [
-            {"time_s": t, "kind": ev.kind, "gpu": ev.gpu}
-            for t, ev in handles.elasticity.applied
-        ],
-        "events_applied": events_applied,
-        "requests_unaccounted": unaccounted,
-        "budget_grants": handles.budget.grants,
-        "budget_committed_actions": handles.budget.committed,
-        "engine_committed_actions": total_committed,
-        "placement_actions_total": total_committed,
-        "placement_actions_reconciled": actions_reconciled,
-        "processed_events": kernel.processed_events,
-        "experts_survive": _experts_survive(engine),
-        "ok": ok,
-        "regression": not ok,
+    gates = {
+        "serving.requests_served": gate(len(report.records), ">", 0),
+        "requests_unaccounted": gate(unaccounted, "==", 0),
+        "events_applied": gate(events_applied, "==", 2 * config.num_failures),
+        "budget_grants": gate(handles.budget.grants, ">", 0),
     }
+    if config.num_failures > 0:
+        gates["budget_committed_actions"] = gate(
+            handles.budget.committed, ">", 0
+        )
+    gates["placement_actions_reconciled"] = gate(
+        total_committed,
+        "==",
+        handles.budget.committed + report.placement_actions,
+    )
+    gates["experts_survive"] = gate(_experts_survive(engine), "==", True)
+    return Report(
+        suite="composed_scenario",
+        payload={
+            "smoke": smoke,
+            "scenario": handles.provenance,
+            "serving": report.summary(),
+            "cluster_events": [
+                {"time_s": t, "kind": ev.kind, "gpu": ev.gpu}
+                for t, ev in handles.elasticity.applied
+            ],
+            "events_applied": events_applied,
+            "requests_unaccounted": unaccounted,
+            "budget_grants": handles.budget.grants,
+            "budget_committed_actions": handles.budget.committed,
+            "engine_committed_actions": total_committed,
+            "placement_actions_total": total_committed,
+            "processed_events": kernel.processed_events,
+        },
+        gates=gates,
+    )

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -72,3 +75,18 @@ def assignment(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def committed_report():
+    """``committed_report(name)`` -> ``(argv, report)`` of a committed
+    ``BENCH_*.json``: the argv its provenance records, and the report
+    without that provenance block -- what re-running ``python -m repro
+    *argv`` must reproduce exactly for a simulated-only report."""
+
+    def load(name: str) -> tuple[list[str], dict]:
+        path = Path(__file__).resolve().parent.parent / name
+        report = json.loads(path.read_text(encoding="utf-8"))
+        return list(report.pop("provenance")["argv"]), report
+
+    return load

@@ -1,4 +1,4 @@
-"""CLI smoke tests: python -m repro run|bench|compare|faults|perf."""
+"""CLI smoke tests: python -m repro run|bench|compare|faults|perf|churn."""
 
 import json
 
@@ -135,16 +135,26 @@ def test_perf_unwritable_output_fails_fast(capsys, tmp_path):
 def test_perf_human_readable(capsys, tmp_path):
     out = tmp_path / "BENCH_step_overhead.json"
     assert main(["perf", "--smoke", "--output", str(out)]) == 0
-    text = capsys.readouterr().out
-    assert "planner" in text and "rounds/s" in text
-    assert "delta     rebases" in text
-    assert "fallbacks to full recompute: 0" in text
-    assert "perf: OK" in text
+    lines = capsys.readouterr().out.splitlines()
+    gates = json.loads(out.read_text())["gates"]
+    # One line per gate (name, value, op, bound, verdict), then the
+    # footer.
+    assert "total_fallbacks" in gates
+    for name, entry in gates.items():
+        (fields,) = [row.split() for row in lines if row.startswith(name + " ")]
+        assert fields[2] == entry["op"] and fields[-1] == "PASS"
+    assert lines[-2:] == ["perf smoke: OK", f"report written to {out}"]
 
 
-def test_churn_smoke_passes_and_writes_report(capsys, tmp_path):
+def test_churn_smoke_passes_and_writes_report(
+    capsys, tmp_path, committed_report
+):
+    # The committed report is this smoke run: re-running its recorded
+    # argv reproduces it exactly.
+    argv, committed = committed_report("BENCH_autoscale_churn.json")
+    assert argv == ["churn", "--smoke"]
     out = tmp_path / "BENCH_autoscale_churn.json"
-    assert main(["churn", "--smoke", "--output", str(out), "--json"]) == 0
+    assert main(argv + ["--output", str(out), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
     assert payload["suite"] == "autoscale_churn"
@@ -156,16 +166,18 @@ def test_churn_smoke_passes_and_writes_report(capsys, tmp_path):
     assert payload["degradation"]["ok"] is True
     written = json.loads(out.read_text())
     assert written["smoke"] is True
-    assert written["regression"] is False
+    assert written.pop("provenance")["argv"] == argv
+    assert written == committed
 
 
 def test_churn_human_readable(capsys, tmp_path):
     out = tmp_path / "BENCH_autoscale_churn.json"
     assert main(["churn", "--smoke", "--output", str(out)]) == 0
     text = capsys.readouterr().out
-    assert "autoscale churn" in text
-    assert "cost-weighted goodput" in text
-    assert "degradation pair" in text
+    for row in ("spot", "outage", "heterogeneous", "multiday"):
+        assert f"{row}.attainment_gain" in text
+    assert "degradation.shed_engaged" in text
+    assert "FAIL" not in text
     assert "churn smoke: OK" in text
 
 
@@ -176,8 +188,42 @@ def test_churn_unwritable_output_fails_fast(capsys, tmp_path):
     assert "error: cannot write report" in err
 
 
-def test_smoke_run_leaves_canonical_report_untouched(
+def test_churn_unwritable_output_skips_the_run(capsys, tmp_path, monkeypatch):
+    """The output probe runs before the suite, not after it."""
+    import repro.bench.churn
+
+    calls = []
+    monkeypatch.setattr(
+        repro.bench.churn, "churn_bench_run",
+        lambda **kwargs: calls.append(kwargs),
+    )
+    target = tmp_path / "missing-dir" / "report.json"
+    assert main(["churn", "--output", str(target)]) == 2
+    assert calls == []
+    assert "error: cannot write report" in capsys.readouterr().err
+
+
+def test_non_smoke_verdict_is_printed_but_not_gated(
     capsys, tmp_path, monkeypatch
+):
+    """A failing gate outside ``--smoke`` prints FAIL and the FAILED
+    footer but keeps exit status 0 (``perf``/``scale`` excepted)."""
+    import repro.bench.churn
+    from repro.bench.reporting import Report, gate
+
+    report = Report("autoscale_churn", {}, {"x.gain": gate(-0.1, ">", 0)})
+    monkeypatch.setattr(
+        repro.bench.churn, "churn_bench_run", lambda **kwargs: report
+    )
+    out = tmp_path / "churn.json"
+    assert main(["churn", "--output", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert "FAIL" in text and "churn: FAILED" in text
+    assert main(["churn", "--smoke", "--output", str(out)]) == 1
+
+
+def test_smoke_run_leaves_canonical_report_untouched(
+    capsys, tmp_path, monkeypatch, committed_report
 ):
     """A ``--smoke`` run without ``--output`` must not replace a
     committed canonical report with its CI-scale numbers."""
@@ -190,9 +236,14 @@ def test_smoke_run_leaves_canonical_report_untouched(
     assert "refusing to overwrite" in captured.err
     assert "serve smoke: OK" in captured.out
     assert canonical.read_bytes() == before
-    # The canonical command itself still refreshes it ...
+    # The canonical command itself still refreshes it, reproducing the
+    # committed report exactly ...
+    argv, committed = committed_report("BENCH_serving_latency.json")
+    assert argv == ["serve"]
     assert main(["serve", "--requests", "400"]) == 0
-    assert canonical.read_bytes() != before
+    refreshed = json.loads(canonical.read_text())
+    assert refreshed.pop("provenance")["argv"] == argv
+    assert refreshed == committed
     # ... and --output routes any other run elsewhere.
     out = tmp_path / "smoke.json"
     assert main(["serve", "--smoke", "--output", str(out)]) == 0

@@ -2,11 +2,8 @@
 
 import json
 
-from repro.bench.perf import (
-    faults_overhead_benchmark,
-    planner_benchmark,
-    write_report,
-)
+from repro.bench.perf import faults_overhead_benchmark, planner_benchmark
+from repro.bench.reporting import Report, gate, write_report
 
 
 def test_planner_benchmark_reports_equivalence_and_counters():
@@ -61,9 +58,18 @@ def test_faults_overhead_benchmark_simulations_match():
 
 
 def test_write_report_round_trips(tmp_path):
-    report = {"suite": "step_overhead", "ok": True, "speedup": 5.0}
+    report = Report(
+        "step_overhead", {"speedup": 5.0}, {"speedup": gate(5.0, ">=", 1.0)}
+    )
     path = write_report(report, tmp_path / "BENCH_step_overhead.json")
-    assert json.loads(path.read_text()) == report
+    assert json.loads(path.read_text()) == report.to_dict() == {
+        "suite": "step_overhead",
+        "speedup": 5.0,
+        "gates": {
+            "speedup": {"value": 5.0, "op": ">=", "bound": 1.0, "passed": True}
+        },
+        "ok": True,
+    }
 
 
 def test_serving_events_benchmark_identities_and_floor():

@@ -10,8 +10,8 @@ from repro.bench.serving import (
     multitenant_run,
     probe_batch_seconds,
     serving_run,
-    write_report,
 )
+from repro.bench.reporting import write_report
 from repro.cli import main
 from repro.config import FaultConfig
 
@@ -54,7 +54,9 @@ class TestServingRun:
     def test_summary_shape(self, small_result):
         summary = small_result.summary()
         assert summary["suite"] == "serving_latency"
-        assert summary["regression"] == (not summary["ok"])
+        assert summary["ok"] == all(
+            gate["passed"] for gate in summary["gates"].values()
+        )
         for key in ("flexmoe", "static"):
             section = summary[key]
             assert section["p50_latency_s"] <= section["p99_latency_s"]
@@ -95,7 +97,9 @@ class TestServingRun:
         path = write_report(small_result.summary(), tmp_path / REPORT_FILENAME)
         payload = json.loads(path.read_text())
         assert payload["suite"] == "serving_latency"
-        assert "regression" in payload
+        assert set(payload["gates"]) == {
+            "flexmoe.p99_latency_s", "flexmoe.goodput_tokens_per_s"
+        }
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +122,9 @@ class TestMultiTenantRun:
     def test_summary_shape(self, multitenant_result):
         summary = multitenant_result.summary()
         assert summary["suite"] == "multitenant_serving"
-        assert summary["regression"] == (not summary["ok"])
+        assert summary["ok"] == all(
+            gate["passed"] for gate in summary["gates"].values()
+        )
         assert len(summary["tenants"]) == 3
         for key in ("flexmoe", "fifo"):
             section = summary[key]
@@ -166,9 +172,9 @@ class TestServeCLI:
         monkeypatch.chdir(tmp_path)
         assert main(self.ARGS) == 0
         out = capsys.readouterr().out
-        assert "FlexMoE-serving" in out
-        assert "StaticServing" in out
-        assert "p99 speedup" in out
+        assert "flexmoe.p99_latency_s" in out
+        assert "flexmoe.goodput_tokens_per_s" in out
+        assert f"report written to {REPORT_FILENAME}" in out
         assert (tmp_path / REPORT_FILENAME).exists()
 
     def test_json_output(self, capsys, tmp_path, monkeypatch):
@@ -188,7 +194,7 @@ class TestServeCLI:
         assert "serve smoke: OK" in out
         payload = json.loads((tmp_path / REPORT_FILENAME).read_text())
         assert payload["ok"] is True
-        assert payload["regression"] is False
+        assert payload["provenance"]["argv"] == ["serve", "--smoke"]
 
     def test_failure_scenario(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -210,26 +216,33 @@ class TestServeMultiTenantCLI:
         assert main(["serve", "--multi-tenant", "--smoke"]) == 0
         out = capsys.readouterr().out
         assert "serve multi-tenant smoke: OK" in out
-        assert "FlexMoE+priority" in out
-        assert "Jain fairness" in out
+        assert "interactive_attainment.flexmoe" in out
+        assert "jain_fairness" in out
         payload = json.loads(
             (tmp_path / MULTITENANT_REPORT_FILENAME).read_text()
         )
         assert payload["suite"] == "multitenant_serving"
         assert payload["ok"] is True
-        assert payload["regression"] is False
         att = payload["interactive_attainment"]
         assert att["flexmoe"] > att["fifo"]
         assert payload["jain_fairness"] >= payload["fairness_floor"]
 
-    def test_json_output_matches_disk(self, capsys, tmp_path, monkeypatch):
+    def test_json_output_matches_disk(
+        self, capsys, tmp_path, monkeypatch, committed_report
+    ):
+        # The canonical command, re-run from the committed report's
+        # provenance, reproduces that report exactly.
+        argv, committed = committed_report(MULTITENANT_REPORT_FILENAME)
+        assert argv == ["serve", "--multi-tenant"]
         monkeypatch.chdir(tmp_path)
-        assert main(["serve", "--multi-tenant", "--smoke", "--json"]) == 0
+        assert main(argv + ["--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         on_disk = json.loads(
             (tmp_path / MULTITENANT_REPORT_FILENAME).read_text()
         )
         assert on_disk == payload
+        assert payload.pop("provenance")["argv"] == argv
+        assert payload == committed
 
     def test_output_override(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -489,7 +489,7 @@ class TestChurnScenario:
 
     def test_smoke_pair_passes_its_gate(self, smoke_report):
         assert smoke_report["ok"] is True
-        assert smoke_report["regression"] is False
+        assert smoke_report["gates"]["attainment_gain"]["passed"] is True
         assert smoke_report["attainment_gain"] > 0
 
     def test_report_shape(self, smoke_report):
@@ -558,7 +558,7 @@ class TestChurnBench:
         from repro.bench.churn import degradation_run
 
         result = degradation_run(smoke=True)
-        assert result["ok"] is True, result["gates"]
+        assert result.ok is True, result.gates
         shed_on = result["shed_on"]["serving"]
         shed_off = result["shed_off"]["serving"]
         # The shed arm tracked every shed request against the batch
@@ -579,25 +579,25 @@ class TestChurnBench:
         )
 
     def test_full_report_shape_and_persistence(self, tmp_path):
-        from repro.bench.churn import (
-            CHURN_REPORT_FILENAME,
-            churn_bench_run,
-            write_churn_report,
-        )
+        from repro.bench.churn import CHURN_REPORT_FILENAME, churn_bench_run
+        from repro.bench.reporting import write_report
 
         report = churn_bench_run(smoke=True)
         assert report["suite"] == "autoscale_churn"
         assert report["ok"] is True
-        assert report["regression"] is False
+        assert report.gates["spot.attainment_gain"]["passed"] is True
         assert set(report["rows"]) == {
             "spot", "outage", "heterogeneous", "multiday"
         }
         for row in report["rows"].values():
             assert row["ok"] is True
             assert row["attainment_gain"] > 0
-        path = write_churn_report(report, tmp_path / CHURN_REPORT_FILENAME)
+        path = write_report(report, tmp_path / CHURN_REPORT_FILENAME)
         import json
 
         persisted = json.loads(path.read_text())
         assert persisted["ok"] is True
-        assert persisted["degradation"]["gates"]["shed_engaged"] is True
+        assert persisted["degradation"]["gates"]["shed_engaged"][
+            "passed"
+        ] is True
+        assert persisted["gates"]["degradation.shed_engaged"]["passed"]

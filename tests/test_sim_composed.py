@@ -42,7 +42,6 @@ class TestComposedScenarioConfig:
 class TestComposedScenario:
     def test_smoke_run_is_ok(self, smoke_report):
         assert smoke_report["ok"] is True
-        assert smoke_report["regression"] is False
 
     def test_all_three_sources_fired(self, smoke_report):
         """The composition is genuine: every source did observable work."""
@@ -64,7 +63,9 @@ class TestComposedScenario:
         # The engine-wide committed counter is the authoritative total
         # and must reconcile exactly with the per-channel counters:
         # budget-source commits plus in-step serving commits.
-        assert smoke_report["placement_actions_reconciled"] is True
+        assert smoke_report["gates"]["placement_actions_reconciled"][
+            "passed"
+        ] is True
         assert (
             smoke_report["placement_actions_total"]
             == smoke_report["engine_committed_actions"]
@@ -101,7 +102,7 @@ class TestComposedScenario:
         )
         assert report["requests_unaccounted"] > 0
         assert report["ok"] is False
-        assert report["regression"] is True
+        assert report["gates"]["requests_unaccounted"]["passed"] is False
 
     def test_explicit_small_request_count_survives_smoke(self):
         config = ComposedScenarioConfig(num_requests=100).smoke()
@@ -131,13 +132,20 @@ class TestScenarioCli:
         assert on_disk["ok"] is True
         assert on_disk["suite"] == "composed_scenario"
 
-    def test_scenario_human_readable(self, capsys, tmp_path):
+    def test_scenario_human_readable(self, capsys, tmp_path, committed_report):
+        # The canonical command, re-run from the committed report's
+        # provenance, reproduces that report exactly.
+        argv, committed = committed_report("BENCH_composed_scenario.json")
+        assert argv == ["scenario"]
         out = tmp_path / "composed.json"
-        code = main(["scenario", "--smoke", "--output", str(out)])
+        code = main(argv + ["--output", str(out)])
         captured = capsys.readouterr().out
         assert code == 0
-        assert "scenario smoke: OK" in captured
-        assert "one kernel, three sources" in captured
+        assert "scenario: OK" in captured
+        assert "budget_committed_actions" in captured
+        written = json.loads(out.read_text())
+        assert written.pop("provenance")["argv"] == argv
+        assert written == committed
 
     def test_scenario_unwritable_output_fails_fast(self, capsys, tmp_path):
         code = main(
